@@ -15,6 +15,7 @@ instead of letting a -1 sentinel leak into degree formulas.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -245,9 +246,12 @@ class Fq:
         return "".join(str(x) for x in reversed(self._unpack(a))).lstrip("0") or "0"
 
     def element_from_text(self, s: str) -> int:
+        """Inverse of element_text: base-p digits, value below q."""
+        if not s or any(not c.isdigit() or int(c) >= self.p for c in s):
+            raise ValueError(f"coefficient {s!r} is not a base-{self.p} digit string")
         v = int(s, self.p)
-        if not 0 <= v < self.q:
-            raise ValueError(f"element {s!r} out of range for q={self.q}")
+        if v >= self.q:
+            raise ValueError(f"coefficient {s!r} is out of range for q={self.q}")
         return v
 
     # polynomial factories ---------------------------------------------------
@@ -674,40 +678,40 @@ def pretty_poly(p: Poly) -> str:
     return "+".join(terms)
 
 
+# one signed term: a coefficient (bare or [bracketed] base-p digits),
+# optionally followed by '*' and Y with an optional ^exponent; or a bare Y
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\[\d+\]|\d+)\*?)?(Y)(?:\^(\d+))?|(\[\d+\]|\d+))\s*")
+
+
 def poly_from_text(field: Fq, s: str) -> Poly:
-    """Parse the comma form ("1,0,1") or a simple pretty form ("Y^2+1")."""
+    """Parse the comma form ("1,0,1") or the pretty form ("Y^2+2*Y+1").
+
+    Anything else is rejected with the position it stopped at: text such as
+    "Y2" or "Y^2+" is never read as something it does not say.
+    """
     s = s.strip()
     if not s:
         raise ValueError("empty polynomial text")
-    if "," in s or s.isdigit() and "Y" not in s:
-        if "," in s:
-            return field.poly([field.element_from_text(t.strip()) for t in s.split(",")])
-        return field.poly([field.element_from_text(s)])
+    if "," in s:
+        return field.poly([field.element_from_text(t.strip()) for t in s.split(",")])
     coeffs: dict = {}
-    for term in s.replace("-", "+-").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        negate = term.startswith("-")
-        if negate:
-            term = term[1:].strip()
-        if "Y" in term:
-            head, _, tail = term.partition("Y")
-            head = head.rstrip("*").strip()
-            if head.startswith("[") and head.endswith("]"):
-                head = head[1:-1]
-            c = field.element_from_text(head) if head else 1
-            k = int(tail[1:]) if tail.startswith("^") else (int(tail) if tail else 1)
-        else:
-            if term.startswith("[") and term.endswith("]"):
-                term = term[1:-1]
-            c = field.element_from_text(term)
-            k = 0
-        if negate:
+    pos = 0
+    while pos < len(s):
+        term = _TERM.match(s, pos)
+        if term is None or (pos and not term.group(1)):
+            raise ValueError(
+                f"cannot read {s[pos:]!r} at position {pos}: expected terms "
+                "such as 2*Y^3, Y or 1 joined by + or -")
+        sign, head, y, exp, const = term.groups()
+        text = head if y else const
+        if text and text.startswith("["):
+            text = text[1:-1]
+        c = field.element_from_text(text) if text else 1
+        k = (int(exp) if exp else 1) if y else 0
+        if sign == "-":
             c = field.neg_t[c]
         coeffs[k] = field.add(coeffs.get(k, 0), c)
-    if not coeffs:
-        return field.zero
+        pos = term.end()
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c

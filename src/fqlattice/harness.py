@@ -2,12 +2,22 @@
 continued-fraction statistics, verification tables, and report rendering.
 
 Everything is computed in exact arithmetic (integers and Fractions), so a
-report is a pure function of its configuration.  Enumerations parallelize
-over blocks of the outer polynomial loop; block results are plain counters
-merged by addition, which makes the output independent of the worker count.
-To keep that guarantee byte-exact, serialized reports echo only the
-result-relevant configuration (worker count, output path, and wall time are
-console concerns and stay out of the files).
+report is a pure function of its configuration.
+
+`count` and `joint` walk the Euclid tree once, to depth n_max, for all their
+levels at once.  Each node is a coprime pair (r, s), s monic of degree n >= 1
+and deg r < n, together with r^-1 mod s read off the convergents.  Over it
+lies an orbit of (q - 1)(q + 1) primitive vectors of level n, the sharp
+(lambda*s, c*lambda*s + r) and the blunt (r, lambda*s), whose direction cells
+come from the top digits of r and s and whose solution statistic is
+-+lambda^-1 r^-1/s; so one division per node bins the whole orbit.  Level 0
+keeps the vector-by-vector path.  Parallel runs split the tree by first
+partial quotient over one process pool; `cfe` splits its own loop over
+blocks of denominators.  Block results are plain counters merged by
+addition, which makes the output independent of the worker count.  To keep
+that guarantee byte-exact, serialized reports echo only the result-relevant
+configuration (worker count, output path, and wall time are console concerns
+and stay out of the files).
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import time
 from collections import Counter
@@ -34,10 +45,10 @@ from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
                    sl2_order_bruteforce, sphere_mass, BoxSpec)
 from .lattice import (EnumFilter, companion_of, count_membership_flips,
-                      domain_cells, enumerate_primitive, matrix_side_enumerate,
-                      small_component, solution_statistic, sphere_cells,
+                      domain_cells, enumerate_primitive, euclid_tree,
+                      matrix_side_enumerate, solution_statistic, sphere_cells,
                       verify_bijection)
-from .laurent import LatticeVec, lattice_direction_digits, rat
+from .laurent import lattice_direction_digits, rat
 
 SCHEMA_VERSION = 1
 
@@ -234,9 +245,8 @@ def render_report(report: Report, fmt: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _outer_codes(field: Fq, n: int, exact: bool) -> List[Tuple[int, ...]]:
-    polys = polys_of_degree(field, n) if exact else polys_up_to_degree(field, n)
-    return [p.coeffs for p in polys]
+def _outer_codes(field: Fq, n: int) -> List[Tuple[int, ...]]:
+    return [p.coeffs for p in polys_of_degree(field, n)]
 
 
 def _payload_blocks(codes: List[Tuple[int, ...]], workers: int) -> List[Tuple]:
@@ -246,60 +256,134 @@ def _payload_blocks(codes: List[Tuple[int, ...]], workers: int) -> List[Tuple]:
     return [tuple(codes[i:i + size]) for i in range(0, len(codes), size)]
 
 
+def _pool_size(workers: int, blocks: int) -> int:
+    """Processes for a run: never more than requested, than CPUs, or than
+    blocks.  The worker count stays out of the reports, so an oversized
+    request is clamped rather than rejected."""
+    return min(workers, os.cpu_count() or 1, blocks)
+
+
 def _map_blocks(fn: Callable, payloads: List[Tuple], workers: int) -> List:
-    if workers <= 1 or len(payloads) <= 1:
+    processes = _pool_size(workers, len(payloads))
+    if processes <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as ex:
+    with ProcessPoolExecutor(max_workers=processes) as ex:
         return list(ex.map(fn, payloads))
 
 
-def _pairs_at_level(field: Fq, n: int, a_codes: Sequence[Tuple[int, ...]]):
-    """Primitive (a, b) at sup-norm level n with a restricted to the block."""
-    for ac in a_codes:
-        a = Poly(field, ac)
-        a_level = (not a.is_zero()) and a.degree == n
-        bs = polys_up_to_degree(field, n) if a_level else polys_of_degree(field, n)
-        for b in bs:
-            if a.is_zero() and b.is_zero():
-                continue
-            if is_coprime(a, b):
-                yield LatticeVec(a, b)
+def _first_quotient_blocks(field: Fq, n_max: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The Euclid tree split by first partial quotient, largest blocks first.
+
+    A first quotient of degree d roots q^(-2d) of the nodes, so each degree-1
+    quotient is a block of its own and every higher degree forms one block.
+    """
+    blocks = [(a.coeffs,) for a in polys_of_degree(field, 1)]
+    blocks += [tuple(a.coeffs for a in polys_of_degree(field, d))
+               for d in range(2, n_max + 1)]
+    return blocks
 
 
-def _ideal_from(field: Fq, coeffs: Optional[Tuple[int, ...]]) -> Optional[Ideal]:
-    return None if coeffs is None else Ideal(Poly(field, coeffs))
+def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
+    """Which vectors over (r, s) keep their small component in (gen), a
+    proper ideal: the mu in F_q with mu*s + r in it (sharp vectors,
+    mu = c*lambda), and whether r is in it (blunt vectors)."""
+    field = gen.field
+    rg, sg = r % gen, s % gen
+    if rg.is_zero():
+        # gcd(r, s) = 1 leaves s a unit mod gen
+        return (0,), True
+    if sg.is_zero() or rg.degree != sg.degree:
+        return (), False
+    mu = field.neg_t[field.mul_t[rg.lead][field.inv_t[sg.lead]]]
+    return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
-def _count_block(payload) -> int:
-    q, modulus, n, ideal_coeffs, a_codes = payload
+def _tree_block(payload) -> Dict[int, Counter]:
+    """Per-level tallies of the Euclid-tree nodes under one block of first
+    partial quotients.  A node's key holds what binning its orbit needs: the
+    top m digits of s and r and the solution-cell digits of r^-1/s (joint
+    runs only), then the admissible mu and the blunt flag of _ideal_orbit."""
+    q, modulus, gen_coeffs, n_lo, n_max, cells, first_codes = payload
     field = get_field(q, modulus)
-    I = _ideal_from(field, ideal_coeffs)
-    total = 0
-    for v in _pairs_at_level(field, n, a_codes):
-        if I is not None and not I.contains(small_component(v)):
+    gen = None if gen_coeffs is None else Poly(field, gen_coeffs)
+    every_mu = tuple(range(q))
+    tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
+    first = [Poly(field, c) for c in first_codes]
+    for r, s, inv in euclid_tree(field, n_max, first):
+        n = s.degree
+        if n < n_lo:
             continue
-        total += 1
-    return total
+        orbit = (every_mu, True) if gen is None else _ideal_orbit(r, s, gen)
+        if cells is not None:
+            m, mp = cells
+            # digits 1..mp-1 of r^-1/s are the coefficients of this quotient
+            head = inv.shift(mp - 1) // s
+            orbit = (tuple(s.coeff(n - i) for i in range(m)),
+                     tuple(r.coeff(n - i) for i in range(m)),
+                     tuple(head.coeff(k) for k in range(mp - 2, -1, -1))) + orbit
+        tallies[n][orbit] += 1
+    return tallies
 
 
-def _joint_block(payload) -> Tuple[Dict[Tuple[str, str], int], int]:
-    q, modulus, n, ideal_coeffs, m, mp, a_codes = payload
-    field = get_field(q, modulus)
-    I = _ideal_from(field, ideal_coeffs)
-    theta_ids = {(c.x_digits, c.y_digits): c.id_text() for c in sphere_cells(field, m)}
-    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal,
+                 cells: Optional[Tuple[int, int]]) -> Dict[int, Counter]:
+    """Node tallies for levels max(1, n_min)..n_max from one walk of the
+    Euclid tree, split over one process pool and merged by addition."""
+    n_lo = max(1, cfg.n_min)
+    if cfg.n_max < n_lo:
+        return {}
+    gen = None if I.gen.is_one() else I.gen.coeffs
+    payloads = [(cfg.q, cfg.modulus, gen, n_lo, cfg.n_max, cells, block)
+                for block in _first_quotient_blocks(field, cfg.n_max)]
+    merged: Dict[int, Counter] = {n: Counter() for n in range(n_lo, cfg.n_max + 1)}
+    for part in _map_blocks(_tree_block, payloads, cfg.workers):
+        for n, tally in part.items():
+            merged[n].update(tally)
+    return merged
+
+
+def _orbit_size(field: Fq, tally: Counter) -> int:
+    """Primitive vectors over the tallied nodes: q - 1 values of lambda for
+    each admissible mu (sharp) and for the blunt form."""
+    return (field.q - 1) * sum(count * (len(key[-2]) + key[-1])
+                               for key, count in tally.items())
+
+
+def _bin_orbits(field: Fq, tally: Counter, theta_ids: Dict, dp_ids: Dict) -> Counter:
+    """Cell histogram of the orbits over the tallied nodes.
+
+    Over a node (r, s) lie the sharp vectors (lambda*s, mu*s + r) and the
+    blunt vectors (r, lambda*s), lambda in F_q^*; their solution statistics
+    are -lambda^-1 r^-1/s and +lambda^-1 r^-1/s.
+    """
+    mul, add, neg, inv = field.mul_t, field.add_t, field.neg_t, field.inv_t
+    hist: Counter = Counter()
+    for (s_top, r_top, digits, mus, r_in), count in tally.items():
+        for lam in range(1, field.q):
+            lam_s = tuple(mul[lam][c] for c in s_top)
+            if mus:
+                dp = dp_ids[tuple(mul[neg[inv[lam]]][c] for c in digits)]
+                for mu in mus:
+                    b_top = tuple(add[mul[mu][c]][e] for c, e in zip(s_top, r_top))
+                    hist[(theta_ids[(lam_s, b_top)], dp)] += count
+            if r_in:
+                dp = dp_ids[tuple(mul[inv[lam]][c] for c in digits)]
+                hist[(theta_ids[(r_top, lam_s)], dp)] += count
+    return hist
+
+
+def _level_zero(field: Fq, I: Ideal, m: int, mp: int, theta_ids: Dict,
+                dp_ids: Dict) -> Tuple[Counter, int]:
+    """Cell histogram and exception count of the q^2 - 1 constant vectors,
+    vector by vector: level 0 is the only level where the flag fires."""
     hist: Counter = Counter()
     exceptional = 0
-    for v in _pairs_at_level(field, n, a_codes):
-        if I is not None and not I.contains(small_component(v)):
-            continue
-        th = theta_ids[lattice_direction_digits(v, n, m)]
+    for v in enumerate_primitive(field, EnumFilter(n=0, ideal=I)):
         stat, exc = solution_statistic(v)
-        if exc:
-            exceptional += 1
-        dp = dp_ids[stat.expand(mp).digits(1, mp)]
-        hist[(th, dp)] += 1
-    return dict(hist), exceptional
+        exceptional += exc
+        hist[(theta_ids[lattice_direction_digits(v, 0, m)],
+              dp_ids[stat.expand(mp).digits(1, mp)])] += 1
+    return hist, exceptional
 
 
 def _cfe_block(payload) -> Dict[str, int]:
@@ -357,14 +441,16 @@ def _trend_status(sups: Sequence[Fraction]) -> str:
     return "pass" if ok else "warn"
 
 
-def _ideal_coeffs_or_none(I: Ideal) -> Optional[Tuple[int, ...]]:
-    return None if I.gen.is_one() else I.gen.coeffs
+def _cell_ids(field: Fq, m: int, mp: int) -> Tuple[Dict, Dict]:
+    """Cell id texts keyed by direction digits and by solution digits."""
+    theta_ids = {(c.x_digits, c.y_digits): c.id_text() for c in sphere_cells(field, m)}
+    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+    return theta_ids, dp_ids
 
 
 def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
                  mp: int, warnings: List[str]) -> List[dict]:
-    theta_ids = {(c.x_digits, c.y_digits): c.id_text() for c in sphere_cells(field, m)}
-    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+    theta_ids, dp_ids = _cell_ids(field, m, mp)
     dumpable = [n for n in levels if n <= 4]
     skipped = [n for n in levels if n > 4]
     if skipped:
@@ -388,15 +474,16 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
 def run_count(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
-    icoeffs = _ideal_coeffs_or_none(I)
     warnings: List[str] = []
     rows = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
+    nodes = _walk_levels(cfg, field, I, None)
     for n in levels:
-        blocks = _payload_blocks(_outer_codes(field, n, exact=False), cfg.workers)
-        payloads = [(cfg.q, cfg.modulus, n, icoeffs, b) for b in blocks]
-        total = sum(_map_blocks(_count_block, payloads, cfg.workers))
+        if n == 0:
+            total = sum(1 for _ in enumerate_primitive(field, EnumFilter(n=0, ideal=I)))
+        else:
+            total = _orbit_size(field, nodes[n])
         main = counting_main_term(I, n)
         rel = abs(Fraction(total) / main - 1)
         rels.append(rel)
@@ -422,7 +509,6 @@ def run_joint(cfg: RunConfig,
               ) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
-    icoeffs = _ideal_coeffs_or_none(I)
     m, mp = cfg.depth_m, cfg.depth_mp
     thetas = sphere_cells(field, m)
     dps = domain_cells(field, mp)
@@ -439,14 +525,13 @@ def run_joint(cfg: RunConfig,
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     sups: List[Fraction] = []
     summary: Dict[str, object] = {}
+    theta_ids, dp_ids = _cell_ids(field, m, mp)
+    nodes = _walk_levels(cfg, field, I, (m, mp))
     for n in levels:
-        blocks = _payload_blocks(_outer_codes(field, n, exact=False), cfg.workers)
-        payloads = [(cfg.q, cfg.modulus, n, icoeffs, m, mp, b) for b in blocks]
-        hist: Counter = Counter()
-        exceptional = 0
-        for part, exc in _map_blocks(_joint_block, payloads, cfg.workers):
-            hist.update(part)
-            exceptional += exc
+        if n == 0:
+            hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
+        else:
+            hist, exceptional = _bin_orbits(field, nodes[n], theta_ids, dp_ids), 0
         expected = expected_box_count(
             I, BoxSpec(n, Fraction(1, cfg.q ** (2 * m)), Fraction(1, cfg.q ** mp)))
         discrepancies = []
@@ -509,7 +594,7 @@ def run_cfe(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {"prefactor": pref}
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     for n in levels:
-        blocks = _payload_blocks(_outer_codes(field, n, exact=True), cfg.workers)
+        blocks = _payload_blocks(_outer_codes(field, n), cfg.workers)
         payloads = [(cfg.q, cfg.modulus, n, pp.coeffs, mp, b) for b in blocks]
         hist: Counter = Counter()
         for part in _map_blocks(_cfe_block, payloads, cfg.workers):

@@ -9,6 +9,10 @@ matrix side from the triangular factorization predicates, and the two
 enumerations are kept logically independent above the shared polynomial
 arithmetic so that comparing them is an actual check.
 
+Coprime pairs come two ways: `euclid_tree` builds them from continued
+fractions with their modular inverses and no gcd, which is what the runners
+use; `primitive_vectors` scans every pair with a gcd and stays as the oracle.
+
 Cylinders are the finite-depth cells used for equidistribution bookkeeping:
 a sphere cell fixes the leading expansion digits of the direction of v, a
 domain cell fixes leading digits of an element of the open unit ball.
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .field import Fq, Ideal, Poly, is_coprime, poly_xgcd, polys_of_degree, polys_up_to_degree
-from .haar import Mat2, refined_lu
+from .haar import Mat2
 from .laurent import (
     LatticeVec, LaurentWindow, PlaneVec, RationalFn, as_plane, in_ball,
     is_sharp, lattice_direction_digits, pi_pow, rat, reduce_mod_R,
@@ -210,6 +214,41 @@ def enumerate_primitive(field: Fq, filt: EnumFilter) -> Iterator[LatticeVec]:
             if not filt.solution_cell.contains(ratio):
                 continue
         yield v
+
+
+def euclid_tree(field: Fq, n_max: int,
+                first: Optional[Sequence[Poly]] = None
+                ) -> Iterator[Tuple[Poly, Poly, Poly]]:
+    """Every coprime (r, s) with s monic, 1 <= deg s <= n_max, r != 0 and
+    deg r < deg s, paired with r^-1 mod s; no gcd is taken.
+
+    r/s runs once over the reduced fractions of the open unit ball through
+    its continued fraction [0; a_1, ..., a_k], deg a_i >= 1.  A node is the
+    state (P_{k-1}, Q_{k-1}, P_k, Q_k) of the convergent recurrence, and
+    P_k Q_{k-1} - P_{k-1} Q_k = (-1)^(k+1) makes (-1)^(k+1) lead(Q_k) Q_{k-1}
+    the inverse of r = P_k / lead(Q_k) modulo s = Q_k / lead(Q_k), already of
+    degree below deg s.  `first` restricts the walk to the subtrees under
+    those first partial quotients a_1 (all of degree >= 1 by default).
+    """
+    quotients = [()] + [tuple(polys_of_degree(field, d)) for d in range(1, n_max + 1)]
+    if first is None:
+        first = [a for qs in quotients for a in qs]
+    zero, one = field.zero, field.one
+    mul_t, inv_t, minus_one = field.mul_t, field.inv_t, field.neg_t[1]
+    # (P_{k-1}, Q_{k-1}, P_k, Q_k, (-1)^(k+1)) after the first quotient, k = 1
+    stack = [(zero, one, one, a, 1) for a in reversed(first)]
+    while stack:
+        pp, qp, p, q, sign = stack.pop()
+        lead = q.coeffs[-1]
+        if lead == 1:
+            yield p, q, qp.scale(sign)
+        else:
+            unlead = inv_t[lead]
+            yield p.scale(unlead), q.scale(unlead), qp.scale(mul_t[sign][lead])
+        flip = minus_one if sign == 1 else 1
+        for d in range(1, n_max - q.degree + 1):
+            for a in quotients[d]:
+                stack.append((p, q, a * p + pp, a * q + qp, flip))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ class TestExitCodes:
         code, _, err = run(["count", "--ideal", "0"], capsys)
         assert code == 2 and "configuration error" in err
 
+    @pytest.mark.parametrize("text", ["Y2", "Y^2+", "Y^", "Z", "2Y"])
+    def test_unreadable_ideal(self, capsys, text):
+        code, out, err = run(["count", "--ideal", text], capsys)
+        assert code == 2 and out == ""
+        assert f"bad ideal generator {text!r}" in err
+        assert "invalid literal" not in err
+
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fqlattice.field import (
@@ -340,6 +342,32 @@ class TestTextForms:
             poly_from_text(F, "")
         with pytest.raises(ValueError):
             poly_from_text(F, "5")
+
+    @pytest.mark.parametrize("text,where", [
+        ("Y2", "'2' at position 1"),
+        ("Y^2+", "'+' at position 3"),
+        ("Y^", "'^' at position 1"),
+        ("Z", "'Z' at position 0"),
+        ("Y++1", "'++1' at position 1"),
+        ("[]*Y", "'[]*Y' at position 0"),
+    ])
+    def test_parse_rejects_unreadable_text(self, text, where):
+        with pytest.raises(ValueError, match=re.escape(f"cannot read {where}")):
+            poly_from_text(Fq(2), text)
+
+    @pytest.mark.parametrize("q,text", [(2, "2Y"), (2, "1,,1"), (3, "3*Y"),
+                                        (4, "[12]*Y")])
+    def test_parse_rejects_foreign_coefficients(self, q, text):
+        with pytest.raises(ValueError, match="coefficient"):
+            poly_from_text(Fq(q), text)
+
+    def test_parse_accepts_signs_spaces_and_brackets(self):
+        F = Fq(3)
+        assert poly_from_text(F, "-Y + 2") == F.poly((2, 2))
+        assert poly_from_text(F, "2Y^2") == F.poly((0, 0, 2))
+        F4 = Fq(4)
+        assert poly_from_text(F4, "[10]*Y^2+[11]") == F4.poly((3, 0, 2))
+        assert poly_from_text(F4, "11") == F4.poly((3,))
 
 
 def test_get_field_is_shared():

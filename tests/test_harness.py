@@ -249,6 +249,50 @@ class TestDeterminism:
         assert to_json(a) == to_json(b)
 
 
+class TestWorkerCap:
+    class StubPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        import fqlattice.harness as harness
+        self.StubPool.sizes = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", self.StubPool)
+        return harness
+
+    @pytest.mark.parametrize("workers,cpus,size", [
+        (8, 2, 2), (3, 2, 2), (2, 64, 2), (64, 64, 5), (2, None, None)])
+    def test_pool_size_is_clamped(self, pool, monkeypatch, workers, cpus, size):
+        # q=2, n_max=4 splits into 2 degree-1 blocks plus degrees 2, 3, 4
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
+        cfg = dict(q=2, n_min=1, n_max=4, ideal="Y", experiment="joint")
+        rep = run_joint(RunConfig(workers=workers, **cfg))
+        assert self.StubPool.sizes == ([] if size is None else [size])
+        assert to_csv(rep) == to_csv(run_joint(RunConfig(workers=1, **cfg)))
+
+    def test_one_pool_per_run(self, pool, monkeypatch):
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
+        run_count(RunConfig(q=3, n_min=0, n_max=3, workers=4))
+        assert self.StubPool.sizes == [4]
+
+    def test_single_worker_spawns_nothing(self, pool):
+        run_count(RunConfig(q=2, n_min=1, n_max=4, workers=1))
+        assert self.StubPool.sizes == []
+
+
 class TestSerialization:
     def test_json_shape(self):
         rep = run_count(RunConfig(q=2, n_min=0, n_max=1, fmt="json"))
