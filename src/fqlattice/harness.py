@@ -4,20 +4,22 @@ continued-fraction statistics, verification tables, and report rendering.
 Everything is computed in exact arithmetic (integers and Fractions), so a
 report is a pure function of its configuration.
 
-`count` and `joint` walk the Euclid tree once, to depth n_max, for all their
-levels at once.  Each node is a coprime pair (r, s), s monic of degree n >= 1
-and deg r < n, together with r^-1 mod s read off the convergents.  Over it
-lies an orbit of (q - 1)(q + 1) primitive vectors of level n, the sharp
-(lambda*s, c*lambda*s + r) and the blunt (r, lambda*s), whose direction cells
-come from the top digits of r and s and whose solution statistic is
--+lambda^-1 r^-1/s; so one division per node bins the whole orbit.  Level 0
-keeps the vector-by-vector path.  Parallel runs split the tree by first
-partial quotient over one process pool; `cfe` splits its own loop over
-blocks of denominators.  Block results are plain counters merged by
-addition, which makes the output independent of the worker count.  To keep
-that guarantee byte-exact, serialized reports echo only the result-relevant
-configuration (worker count, output path, and wall time are console concerns
-and stay out of the files).
+`count`, `joint` and `cfe` walk the Euclid tree once, to depth n_max, for
+all their levels at once.  Each node is a coprime pair (r, s), s monic of
+degree n >= 1 and deg r < n, together with r^-1 mod s and lead(Q_k) read off
+the convergents.  Over it lies an orbit of (q - 1)(q + 1) primitive vectors
+of level n, the sharp (lambda*s, c*lambda*s + r) and the blunt
+(r, lambda*s), whose direction cells come from the top digits of r and s and
+whose solution statistic is -+lambda^-1 r^-1/s; so one division per node
+bins the whole orbit.  `cfe` bins the q - 1 pairs (lambda*r, lambda*s) of
+each node with r in the ideal by the penultimate convergent ratio
+-lead(Q_k)^-2 r^-1/s, from the same division.  Level 0 keeps the
+vector-by-vector path.  Parallel runs split the tree by first partial
+quotient over one process pool per run.  Block results are plain counters
+merged by addition, which makes the output independent of the worker count.
+To keep that guarantee byte-exact, serialized reports echo only the
+result-relevant configuration (worker count, output path, and wall time are
+console concerns and stay out of the files).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
-                    convergents, penultimate_ratio, shortest_solution)
+                    convergents, shortest_solution)
 from .field import (Fq, Ideal, Poly, get_field, is_coprime, poly_from_text,
                     polys_of_degree, polys_up_to_degree)
 from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
@@ -131,12 +133,20 @@ class Report:
     wall_time_s: float = 0.0
 
 
+# the source checkout this module runs from, if it runs from one
+_CHECKOUT = Path(__file__).resolve().parents[2]
+
+
 @lru_cache(maxsize=1)
 def build_id() -> str:
-    root = Path(__file__).resolve().parents[2]
+    """`git describe` of the checkout the package runs from; "unknown" for
+    any other copy, so an installed one never stamps the hash of a
+    repository it happens to sit in."""
+    if not (_CHECKOUT / ".git").exists():
+        return "unknown"
     try:
         out = subprocess.check_output(
-            ["git", "-C", str(root), "describe", "--always", "--dirty"],
+            ["git", "-C", str(_CHECKOUT), "describe", "--always", "--dirty"],
             text=True, stderr=subprocess.DEVNULL)
         return out.strip() or "unknown"
     except (OSError, subprocess.CalledProcessError):
@@ -245,30 +255,11 @@ def render_report(report: Report, fmt: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _outer_codes(field: Fq, n: int) -> List[Tuple[int, ...]]:
-    return [p.coeffs for p in polys_of_degree(field, n)]
-
-
-def _payload_blocks(codes: List[Tuple[int, ...]], workers: int) -> List[Tuple]:
-    if workers <= 1 or len(codes) <= 1:
-        return [tuple(codes)]
-    size = max(1, math.ceil(len(codes) / (4 * workers)))
-    return [tuple(codes[i:i + size]) for i in range(0, len(codes), size)]
-
-
 def _pool_size(workers: int, blocks: int) -> int:
     """Processes for a run: never more than requested, than CPUs, or than
     blocks.  The worker count stays out of the reports, so an oversized
     request is clamped rather than rejected."""
     return min(workers, os.cpu_count() or 1, blocks)
-
-
-def _map_blocks(fn: Callable, payloads: List[Tuple], workers: int) -> List:
-    processes = _pool_size(workers, len(payloads))
-    if processes <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=processes) as ex:
-        return list(ex.map(fn, payloads))
 
 
 def _first_quotient_blocks(field: Fq, n_max: int) -> List[Tuple[Tuple[int, ...], ...]]:
@@ -298,45 +289,61 @@ def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
     return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
+def _head_digits(inv: Poly, s: Poly, mp: int) -> Tuple[int, ...]:
+    """Digits 1..mp-1 of inv/s: the coefficients of (inv * Y^(mp-1)) // s."""
+    head = inv.shift(mp - 1) // s
+    return tuple(head.coeff(k) for k in range(mp - 2, -1, -1))
+
+
 def _tree_block(payload) -> Dict[int, Counter]:
     """Per-level tallies of the Euclid-tree nodes under one block of first
-    partial quotients.  A node's key holds what binning its orbit needs: the
-    top m digits of s and r and the solution-cell digits of r^-1/s (joint
-    runs only), then the admissible mu and the blunt flag of _ideal_orbit."""
-    q, modulus, gen_coeffs, n_lo, n_max, cells, first_codes = payload
+    partial quotients.  A node's key holds what binning it needs: for count
+    the admissible mu and the blunt flag of _ideal_orbit, for joint the top m
+    digits of s and r and the solution-cell digits of r^-1/s before those,
+    and for cfe, whose nodes need r in the ideal, the digits of r^-1/s and
+    lead(Q_k)."""
+    q, modulus, gen_coeffs, n_lo, n_max, kind, m, mp, first_codes = payload
     field = get_field(q, modulus)
     gen = None if gen_coeffs is None else Poly(field, gen_coeffs)
     every_mu = tuple(range(q))
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
     first = [Poly(field, c) for c in first_codes]
-    for r, s, inv in euclid_tree(field, n_max, first):
+    for r, s, inv, lead in euclid_tree(field, n_max, first):
         n = s.degree
         if n < n_lo:
             continue
-        orbit = (every_mu, True) if gen is None else _ideal_orbit(r, s, gen)
-        if cells is not None:
-            m, mp = cells
-            # digits 1..mp-1 of r^-1/s are the coefficients of this quotient
-            head = inv.shift(mp - 1) // s
-            orbit = (tuple(s.coeff(n - i) for i in range(m)),
-                     tuple(r.coeff(n - i) for i in range(m)),
-                     tuple(head.coeff(k) for k in range(mp - 2, -1, -1))) + orbit
-        tallies[n][orbit] += 1
+        if kind == "cfe":
+            if gen is not None and not (r % gen).is_zero():
+                continue
+            key = (_head_digits(inv, s, mp), lead)
+        else:
+            key = (every_mu, True) if gen is None else _ideal_orbit(r, s, gen)
+            if kind == "joint":
+                key = (tuple(s.coeff(n - i) for i in range(m)),
+                       tuple(r.coeff(n - i) for i in range(m)),
+                       _head_digits(inv, s, mp)) + key
+        tallies[n][key] += 1
     return tallies
 
 
-def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal,
-                 cells: Optional[Tuple[int, int]]) -> Dict[int, Counter]:
-    """Node tallies for levels max(1, n_min)..n_max from one walk of the
-    Euclid tree, split over one process pool and merged by addition."""
+def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
+    """`kind` node tallies for levels max(1, n_min)..n_max from one walk of
+    the Euclid tree, split over one process pool and merged by addition."""
     n_lo = max(1, cfg.n_min)
     if cfg.n_max < n_lo:
         return {}
     gen = None if I.gen.is_one() else I.gen.coeffs
-    payloads = [(cfg.q, cfg.modulus, gen, n_lo, cfg.n_max, cells, block)
+    payloads = [(cfg.q, cfg.modulus, gen, n_lo, cfg.n_max, kind, cfg.depth_m,
+                 cfg.depth_mp, block)
                 for block in _first_quotient_blocks(field, cfg.n_max)]
+    processes = _pool_size(cfg.workers, len(payloads))
+    if processes <= 1:
+        parts = [_tree_block(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as ex:
+            parts = list(ex.map(_tree_block, payloads))
     merged: Dict[int, Counter] = {n: Counter() for n in range(n_lo, cfg.n_max + 1)}
-    for part in _map_blocks(_tree_block, payloads, cfg.workers):
+    for part in parts:
         for n, tally in part.items():
             merged[n].update(tally)
     return merged
@@ -386,25 +393,17 @@ def _level_zero(field: Fq, I: Ideal, m: int, mp: int, theta_ids: Dict,
     return hist, exceptional
 
 
-def _cfe_block(payload) -> Dict[str, int]:
-    q, modulus, n, pprime_coeffs, mp, q_codes = payload
-    field = get_field(q, modulus)
-    pp = Poly(field, pprime_coeffs)
-    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+def _bin_ratios(field: Fq, tally: Counter, dp_ids: Dict) -> Counter:
+    """Cell histogram of the penultimate ratios over the tallied cfe nodes.
+
+    The q - 1 pairs (lambda*r, lambda*s) over a node share the fraction r/s,
+    whose ratio (-1)^k Q_{k-1}/Q_k is -lead(Q_k)^-2 r^-1/s."""
+    mul, neg, inv = field.mul_t, field.neg_t, field.inv_t
     hist: Counter = Counter()
-    tmax = n - 1 - pp.degree
-    if tmax < 0:
-        return {}
-    ts = [t for t in polys_up_to_degree(field, tmax) if not t.is_zero()]
-    for qc in q_codes:
-        den = Poly(field, qc)
-        for t in ts:
-            num = pp * t
-            if not is_coprime(num, den):
-                continue
-            stat = penultimate_ratio(rat(num, den))
-            hist[dp_ids[stat.expand(mp).digits(1, mp)]] += 1
-    return dict(hist)
+    for (digits, lead), count in tally.items():
+        scale = neg[inv[mul[lead][lead]]]
+        hist[(dp_ids[tuple(mul[scale][d] for d in digits)],)] += (field.q - 1) * count
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +447,32 @@ def _cell_ids(field: Fq, m: int, mp: int) -> Tuple[Dict, Dict]:
     return theta_ids, dp_ids
 
 
+def _depth_warning(cfg: RunConfig, floor_exp: Fraction, warnings: List[str]) -> None:
+    if floor_exp < cfg.cell_floor:
+        warnings.append(
+            f"depth warning: expected count per cell at n={cfg.n_min} is "
+            f"{floor_exp}, below floor {cfg.cell_floor}; per-cell statistics "
+            "may be vacuous")
+
+
+def _cell_table(n: int, names: Tuple[str, ...], cells: Sequence[Tuple[str, ...]],
+                hist: Counter, expected: Fraction, rows: List[dict]
+                ) -> Tuple[int, Fraction, Fraction]:
+    """Append a row of level n for each cell, a tuple of id texts that is
+    both its histogram key and its `names` columns, and return the level's
+    total count and its sup and mean discrepancy |count/expected - 1|.
+    Ratios are computed once per distinct count."""
+    counts = [hist.get(cell, 0) for cell in cells]
+    cells_with = Counter(counts)
+    ratio = {c: Fraction(c) / expected for c in cells_with}
+    rows.extend({"n": n, **dict(zip(names, cell)), "empirical_count": c,
+                 "expected": expected, "ratio": ratio[c]}
+                for cell, c in zip(cells, counts))
+    gap = {c: abs(r - 1) for c, r in ratio.items()}
+    mean = sum((gap[c] * k for c, k in cells_with.items()), Fraction(0)) / len(cells)
+    return sum(c * k for c, k in cells_with.items()), max(gap.values()), mean
+
+
 def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
                  mp: int, warnings: List[str]) -> List[dict]:
     theta_ids, dp_ids = _cell_ids(field, m, mp)
@@ -478,7 +503,7 @@ def run_count(cfg: RunConfig) -> Report:
     rows = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
-    nodes = _walk_levels(cfg, field, I, None)
+    nodes = _walk_levels(cfg, field, I, "count")
     for n in levels:
         if n == 0:
             total = sum(1 for _ in enumerate_primitive(field, EnumFilter(n=0, ideal=I)))
@@ -510,23 +535,17 @@ def run_joint(cfg: RunConfig,
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
     m, mp = cfg.depth_m, cfg.depth_mp
-    thetas = sphere_cells(field, m)
-    dps = domain_cells(field, mp)
     warnings: List[str] = []
     cell_spec = BoxSpec(cfg.n_min, Fraction(1, cfg.q ** (2 * m)),
                         Fraction(1, cfg.q ** mp))
-    floor_exp = expected_box_count(I, cell_spec)
-    if floor_exp < cfg.cell_floor:
-        warnings.append(
-            f"depth warning: expected count per cell at n={cfg.n_min} is "
-            f"{floor_exp}, below floor {cfg.cell_floor}; per-cell statistics "
-            "may be vacuous")
-    rows = []
+    _depth_warning(cfg, expected_box_count(I, cell_spec), warnings)
+    rows: List[dict] = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     sups: List[Fraction] = []
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
-    nodes = _walk_levels(cfg, field, I, (m, mp))
+    cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
+    nodes = _walk_levels(cfg, field, I, "joint")
     for n in levels:
         if n == 0:
             hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
@@ -534,20 +553,8 @@ def run_joint(cfg: RunConfig,
             hist, exceptional = _bin_orbits(field, nodes[n], theta_ids, dp_ids), 0
         expected = expected_box_count(
             I, BoxSpec(n, Fraction(1, cfg.q ** (2 * m)), Fraction(1, cfg.q ** mp)))
-        discrepancies = []
-        total = 0
-        for th in thetas:
-            for dp in dps:
-                count = hist.get((th.id_text(), dp.id_text()), 0)
-                total += count
-                ratio = Fraction(count) / expected
-                discrepancies.append(abs(ratio - 1))
-                rows.append({"n": n, "direction_cell": th.id_text(),
-                             "solution_cell": dp.id_text(),
-                             "empirical_count": count, "expected": expected,
-                             "ratio": ratio})
-        sup = max(discrepancies)
-        mean = sum(discrepancies, Fraction(0)) / len(discrepancies)
+        total, sup, mean = _cell_table(n, ("direction_cell", "solution_cell"),
+                                       cells, hist, expected, rows)
         if n >= 1:
             sups.append(sup)
         summary[f"total[n={n}]"] = total
@@ -578,44 +585,26 @@ def run_joint(cfg: RunConfig,
 def run_cfe(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
-    mp = cfg.depth_mp
-    pp = I.gen
+    q, mp = cfg.q, cfg.depth_mp
     pref = cfe_prefactor(I)
-    dps = domain_cells(field, mp)
     warnings: List[str] = []
-    q = cfg.q
-    floor_exp = Fraction(q ** (2 * cfg.n_min), q ** (mp - 1)) / pref
-    if floor_exp < cfg.cell_floor:
-        warnings.append(
-            f"depth warning: expected count per cell at n={cfg.n_min} is "
-            f"{floor_exp}, below floor {cfg.cell_floor}; per-cell statistics "
-            "may be vacuous")
-    rows = []
+    _depth_warning(cfg, Fraction(q ** (2 * cfg.n_min), q ** (mp - 1)) / pref,
+                   warnings)
+    rows: List[dict] = []
     summary: Dict[str, object] = {"prefactor": pref}
-    levels = list(range(cfg.n_min, cfg.n_max + 1))
-    for n in levels:
-        blocks = _payload_blocks(_outer_codes(field, n), cfg.workers)
-        payloads = [(cfg.q, cfg.modulus, n, pp.coeffs, mp, b) for b in blocks]
-        hist: Counter = Counter()
-        for part in _map_blocks(_cfe_block, payloads, cfg.workers):
-            hist.update(part)
+    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+    cells = [(dp,) for dp in dp_ids.values()]
+    nodes = _walk_levels(cfg, field, I, "cfe")
+    for n in range(cfg.n_min, cfg.n_max + 1):
+        hist = _bin_ratios(field, nodes.get(n, Counter()), dp_ids)
         # expected count: q^{2n} times the cell's probability mass over the
         # normalizing prefactor
         expected = Fraction(q ** (2 * n), q ** (mp - 1)) / pref
-        discrepancies = []
-        total = 0
-        for dp in dps:
-            count = hist.get(dp.id_text(), 0)
-            total += count
-            ratio = Fraction(count) / expected
-            discrepancies.append(abs(ratio - 1))
-            rows.append({"n": n, "solution_cell": dp.id_text(),
-                         "empirical_count": count, "expected": expected,
-                         "ratio": ratio})
+        total, sup, mean = _cell_table(n, ("solution_cell",), cells, hist,
+                                       expected, rows)
         summary[f"total[n={n}]"] = total
-        summary[f"sup_discrepancy[n={n}]"] = max(discrepancies)
-        summary[f"mean_discrepancy[n={n}]"] = \
-            sum(discrepancies, Fraction(0)) / len(discrepancies)
+        summary[f"sup_discrepancy[n={n}]"] = sup
+        summary[f"mean_discrepancy[n={n}]"] = mean
     return Report("cfe", cfg, COLUMNS["cfe"], rows, summary, warnings,
                   None, time.perf_counter() - t0)
 

@@ -134,9 +134,6 @@ class DomainCell:
     def contains(self, f: RationalFn) -> bool:
         return in_ball(f, self.center(), self.depth)
 
-    def contains_digits(self, digits: Tuple[int, ...]) -> bool:
-        return digits[:self.depth - 1] == self.digits
-
     def id_text(self) -> str:
         return ".".join(map(str, self.digits)) if self.digits else "-"
 
@@ -218,17 +215,19 @@ def enumerate_primitive(field: Fq, filt: EnumFilter) -> Iterator[LatticeVec]:
 
 def euclid_tree(field: Fq, n_max: int,
                 first: Optional[Sequence[Poly]] = None
-                ) -> Iterator[Tuple[Poly, Poly, Poly]]:
+                ) -> Iterator[Tuple[Poly, Poly, Poly, int]]:
     """Every coprime (r, s) with s monic, 1 <= deg s <= n_max, r != 0 and
-    deg r < deg s, paired with r^-1 mod s; no gcd is taken.
+    deg r < deg s, paired with r^-1 mod s and lead(Q_k); no gcd is taken.
 
     r/s runs once over the reduced fractions of the open unit ball through
     its continued fraction [0; a_1, ..., a_k], deg a_i >= 1.  A node is the
     state (P_{k-1}, Q_{k-1}, P_k, Q_k) of the convergent recurrence, and
     P_k Q_{k-1} - P_{k-1} Q_k = (-1)^(k+1) makes (-1)^(k+1) lead(Q_k) Q_{k-1}
     the inverse of r = P_k / lead(Q_k) modulo s = Q_k / lead(Q_k), already of
-    degree below deg s.  `first` restricts the walk to the subtrees under
-    those first partial quotients a_1 (all of degree >= 1 by default).
+    degree below deg s.  The same identity turns the penultimate ratio
+    (-1)^k Q_{k-1} / Q_k into -lead(Q_k)^-2 (r^-1 mod s) / s.  `first`
+    restricts the walk to the subtrees under those first partial quotients
+    a_1 (all of degree >= 1 by default).
     """
     quotients = [()] + [tuple(polys_of_degree(field, d)) for d in range(1, n_max + 1)]
     if first is None:
@@ -241,10 +240,10 @@ def euclid_tree(field: Fq, n_max: int,
         pp, qp, p, q, sign = stack.pop()
         lead = q.coeffs[-1]
         if lead == 1:
-            yield p, q, qp.scale(sign)
+            yield p, q, qp.scale(sign), lead
         else:
             unlead = inv_t[lead]
-            yield p.scale(unlead), q.scale(unlead), qp.scale(mul_t[sign][lead])
+            yield p.scale(unlead), q.scale(unlead), qp.scale(mul_t[sign][lead]), lead
         flip = minus_one if sign == 1 else 1
         for d in range(1, n_max - q.degree + 1):
             for a in quotients[d]:

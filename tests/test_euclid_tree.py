@@ -1,9 +1,10 @@
-"""The Euclid-tree path of count and joint against its brute-force oracle.
+"""The Euclid-tree path of count, joint and cfe against its brute-force oracle.
 
 The tree path walks coprime (r, s) with r^-1 mod s read off the convergents,
 spreads each node over its orbit of sharp and blunt vectors, and reads the
 solution cell from one division.  The oracle scans every pair with a gcd and
-computes each vector's statistic with companion_of and RationalFn.
+computes each vector's statistic with companion_of and RationalFn, and each
+cfe fraction's with penultimate_ratio.
 """
 
 from collections import Counter
@@ -11,9 +12,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqlattice.cfrac import cf_expand
-from fqlattice.field import Ideal, get_field, poly_from_text, polys_of_degree
-from fqlattice.harness import RunConfig, run_count, run_joint
+from fqlattice.cfrac import cf_expand, penultimate_ratio
+from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
+                             polys_of_degree, polys_up_to_degree)
+from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits, run_cfe,
+                               run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
                                solution_statistic, sphere_cells)
@@ -40,7 +43,7 @@ def _tree_vectors(field, n_max, m, mp):
     statistic -+lam^-1 * r^-1/s read from ((r^-1 mod s) * Y^(mp-1)) // s."""
     mul, neg, inv_t = field.mul_t, field.neg_t, field.inv_t
     out = {n: [] for n in range(1, n_max + 1)}
-    for r, s, inv in euclid_tree(field, n_max):
+    for r, s, inv, _ in euclid_tree(field, n_max):
         n = s.degree
         head = inv.shift(mp - 1) // s
         digits = tuple(head.coeff(k) for k in range(mp - 2, -1, -1))
@@ -122,6 +125,70 @@ def test_runners_match_oracle_histograms(q, n_max, gen, m, mp):
         assert joint.summary[f"exceptional[n={n}]"] == 0
 
 
+def _oracle_cfe_digits(field, n, gen, mp):
+    """The gcd-filtered scan: every coprime (num, den) with deg den = n and
+    num a nonzero multiple of gen of degree < n, by the digits 1..mp-1 of
+    penultimate_ratio(num/den)."""
+    digits = Counter()
+    if n - 1 - gen.degree < 0:
+        return digits
+    nums = [gen * t for t in polys_up_to_degree(field, n - 1 - gen.degree)
+            if not t.is_zero()]
+    for den in polys_of_degree(field, n):
+        for num in nums:
+            if is_coprime(num, den):
+                digits[penultimate_ratio(rat(num, den)).expand(mp).digits(1, mp)] += 1
+    return digits
+
+
+# q -> (ideal generator, highest level); a degree-2 generator first admits
+# fractions at level 3, which the oracle can afford for q <= 5
+CFE_GRID = {
+    2: (("1", 4), ("Y", 4), ("Y+1", 4), ("Y^2+Y+1", 4)),
+    3: (("1", 3), ("Y", 3), ("Y+1", 3), ("Y^2+1", 3)),
+    4: (("1", 2), ("Y", 2), ("Y+1", 2), ("Y^2+Y+[10]", 3)),
+    5: (("1", 2), ("Y", 2), ("Y+1", 2), ("Y^2+2", 3)),
+    7: (("1", 1), ("Y", 2), ("Y+1", 2), ("Y^2+1", 2)),
+    8: (("1", 1), ("Y", 2), ("Y+1", 2), ("Y^2+Y+1", 2)),
+    9: (("1", 1), ("Y", 2), ("Y+1", 2), ("Y^2+1", 2)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(CFE_GRID))
+def test_cfe_matches_oracle_histograms(q):
+    field = get_field(q)
+    for gen, n_max in CFE_GRID[q]:
+        g = Ideal(poly_from_text(field, gen)).gen
+        oracle = {n: _oracle_cfe_digits(field, n, g, 3) for n in range(n_max + 1)}
+        for mp in (2, 3):
+            dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+            rep = run_cfe(RunConfig(q=q, n_min=0, n_max=n_max, ideal=gen,
+                                    depth_mp=mp, experiment="cfe"))
+            for n in range(n_max + 1):
+                want = Counter()
+                for digits, count in oracle[n].items():
+                    want[dp_ids[digits[:mp - 1]]] += count
+                got = Counter({r["solution_cell"]: r["empirical_count"]
+                               for r in rep.rows
+                               if r["n"] == n and r["empirical_count"]})
+                assert got == want, (n, gen, mp)
+                assert rep.summary[f"total[n={n}]"] == sum(want.values())
+
+
+@pytest.mark.parametrize("q", QS)
+def test_cfe_bins_each_node_by_its_penultimate_ratio(q):
+    # each level's histogram comes out the same with the sign or the
+    # lead(Q_k)^-2 of the statistic left out, so the histogram tests above
+    # cannot see either; this checks the binning node by node
+    field = get_field(q)
+    mp = 3
+    dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+    for r, s, inv, lead in euclid_tree(field, 2 if q <= 5 else 1):
+        got = _bin_ratios(field, Counter({(_head_digits(inv, s, mp), lead): 1}), dp_ids)
+        want = dp_ids[penultimate_ratio(rat(r, s)).expand(mp).digits(1, mp)]
+        assert got == {(want,): q - 1}, (str(r), str(s))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_level_zero_exceptional_count(q):
     rep = run_joint(RunConfig(q=q, n_min=0, n_max=1, experiment="joint"))
@@ -148,7 +215,7 @@ def subtrees(draw):
 def test_tree_nodes_carry_inverse_and_companion(case):
     field, first, n_max = case
     seen = set()
-    for r, s, inv in euclid_tree(field, n_max, [first]):
+    for r, s, inv, lead in euclid_tree(field, n_max, [first]):
         assert s.is_monic() and 1 <= s.degree <= n_max
         assert not r.is_zero() and r.degree < s.degree
         assert ((r * inv) % s).is_one()
@@ -161,6 +228,9 @@ def test_tree_nodes_carry_inverse_and_companion(case):
         w = LatticeVec(-inv, w_b)
         assert s * w.b - w.a * r == field.one
         assert w == companion_of(LatticeVec(s, r))
+        # penultimate convergent ratio (-1)^k Q_{k-1}/Q_k from inv and lead(Q_k)
+        scale = field.neg(field.inv(field.mul(lead, lead)))
+        assert penultimate_ratio(rat(r, s)) == rat(inv.scale(scale), s)
         assert (r.coeffs, s.coeffs) not in seen
         seen.add((r.coeffs, s.coeffs))
 
@@ -169,15 +239,15 @@ def test_tree_nodes_carry_inverse_and_companion(case):
 def test_tree_node_count_per_level(q):
     field = get_field(q)
     n_max = 2 if q <= 5 else 1
-    levels = Counter(s.degree for _, s, _ in euclid_tree(field, n_max))
+    levels = Counter(s.degree for _, s, _, _ in euclid_tree(field, n_max))
     assert levels == {n: q ** (2 * n) - q ** (2 * n - 1) for n in range(1, n_max + 1)}
 
 
 def test_first_quotients_partition_the_tree():
     field = get_field(3)
-    whole = sorted((r.coeffs, s.coeffs) for r, s, _ in euclid_tree(field, 3))
+    whole = sorted((r.coeffs, s.coeffs) for r, s, _, _ in euclid_tree(field, 3))
     parts = []
     for d in (1, 2, 3):
         parts += [(r.coeffs, s.coeffs)
-                  for r, s, _ in euclid_tree(field, 3, list(polys_of_degree(field, d)))]
+                  for r, s, _, _ in euclid_tree(field, 3, list(polys_of_degree(field, d)))]
     assert sorted(parts) == whole

@@ -1,6 +1,10 @@
 """Experiment drivers: frozen values, cross-report identities, determinism."""
 
+import hashlib
 import json
+import re
+import shutil
+import subprocess
 from collections import Counter
 from fractions import Fraction
 
@@ -287,6 +291,10 @@ class TestWorkerCap:
         monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
         run_count(RunConfig(q=3, n_min=0, n_max=3, workers=4))
         assert self.StubPool.sizes == [4]
+        # cfe walks the tree once for all four levels: one pool, not one per level
+        self.StubPool.sizes.clear()
+        run_cfe(RunConfig(q=2, n_min=1, n_max=4, workers=4, experiment="cfe"))
+        assert self.StubPool.sizes == [4]
 
     def test_single_worker_spawns_nothing(self, pool):
         run_count(RunConfig(q=2, n_min=1, n_max=4, workers=1))
@@ -332,3 +340,55 @@ class TestSerialization:
         rep = run_count(RunConfig(q=2, n_min=1, n_max=1))
         with pytest.raises(ValueError):
             to_points_csv(rep)
+
+
+class TestGoldenReports:
+    """SHA-256 of CSV reports with the build line masked, as rendered before
+    cfe moved onto the Euclid tree; any change to their bytes shows here."""
+
+    @pytest.mark.parametrize("runner,cfg,digest", [
+        pytest.param(*case, id=f"{case[0].__name__[4:]}-q{case[1]['q']}")
+        for case in [
+        (run_count, dict(q=2, n_min=0, n_max=4, ideal="Y"),
+         "5a11d07c7d23a0ac72d5550222f6d18c680f2a30c8614e2366c274186bd72e0c"),
+        (run_count, dict(q=3, n_min=1, n_max=3, ideal="Y+1"),
+         "6a0e2bc2b3e59fa584ad75cdde7fd2af90dfdcaf5e6581326434fcf83acfef70"),
+        (run_joint, dict(q=2, n_min=0, n_max=3, depth_m=2, depth_mp=3),
+         "6a76d4680ebae3ba5079c213d81b4d535448bb5a53fe0a25c37c723b55543d98"),
+        (run_joint, dict(q=3, n_min=1, n_max=2, ideal="Y^2+1"),
+         "b2e09198157e036379ac767ce9589b56ff17662243d6fbbcadcda552394bca1d"),
+        (run_cfe, dict(q=2, n_min=0, n_max=4, ideal="Y", depth_mp=3),
+         "d7adbd9dbbee48aa729ff322cb627cc0daefc63858019c82c6daa4030ecdf5ba"),
+        (run_cfe, dict(q=4, n_min=1, n_max=2, ideal="Y+1"),
+         "8252e4cd8a1e756e7c139319db9be2d7599cf1f8e7b17402af2fc5224df9c154"),
+        (run_cfe, dict(q=9, n_min=1, n_max=2, depth_mp=3),
+         "fc15bc330ffb4daf1244bb220e64c2eaceb917217a4aa0db76b515e3a11acb3b"),
+    ]])
+    def test_masked_digest(self, runner, cfg, digest):
+        kind = runner.__name__[len("run_"):]
+        text = to_csv(runner(RunConfig(experiment=kind, **cfg)))
+        masked = re.sub(r"^# build=.*$", "# build=*", text, flags=re.MULTILINE)
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+
+class TestBuildId:
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_only_its_own_checkout_is_described(self, tmp_path, monkeypatch):
+        import fqlattice.harness as harness
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+        head = subprocess.check_output(git + ["rev-parse", "--short", "HEAD"],
+                                       text=True).strip()
+        try:
+            monkeypatch.setattr(harness, "_CHECKOUT", tmp_path)
+            build_id.cache_clear()
+            assert build_id() == head
+            # a copy below that repository, but not its root, runs no git at all
+            (tmp_path / "lib").mkdir()
+            monkeypatch.setattr(harness, "_CHECKOUT", tmp_path / "lib")
+            monkeypatch.setattr(subprocess, "check_output", None)
+            build_id.cache_clear()
+            assert build_id() == "unknown"
+        finally:
+            build_id.cache_clear()
