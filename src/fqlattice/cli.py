@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the run completes and every hard assertion holds, 1 when a
 verification row, bijection case, or joint trend check fails, 2 for
-configuration errors (including the work guard).
+configuration errors (including the work guard and an `--out` whose directory
+does not exist) and for a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -120,7 +121,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _write_output(report)
+    try:
+        _write_output(report)
+    except OSError as e:
+        print(f"cannot write report: {e}", file=sys.stderr)
+        return 2
     failures = _assertion_failures(report)
     status = "ok" if failures == 0 else f"{failures} failure(s)"
     print(f"{report.kind}: {status}, estimate {work_estimate(cfg)} ops, "

@@ -13,8 +13,13 @@ of level n, the sharp (lambda*s, c*lambda*s + r) and the blunt
 whose solution statistic is -+lambda^-1 r^-1/s; so one division per node
 bins the whole orbit.  `cfe` bins the q - 1 pairs (lambda*r, lambda*s) of
 each node with r in the ideal by the penultimate convergent ratio
--lead(Q_k)^-2 r^-1/s, from the same division.  Level 0 keeps the
-vector-by-vector path.  Parallel runs split the tree by first partial
+-lead(Q_k)^-2 r^-1/s, from the same division.  At q = 2 the blocks walk the
+tree on bitmasks (`euclid_tree_gf2`, `_gf2_tree_block`) with the same keys:
+over GF(2) every lead and sign is 1 and addition is XOR, so a node costs a
+few shifts and XORs instead of several Poly objects.  The choice is by the
+field alone, a property of the input, and the generic `_tree_block` stays the
+only path for q > 2 and the reference for q = 2 in the tests.  Level 0 keeps
+the vector-by-vector path.  Parallel runs split the tree by first partial
 quotient over one process pool per run.  Block results are plain counters
 merged by addition, which makes the output independent of the worker count.
 To keep that guarantee byte-exact, serialized reports echo only the
@@ -25,6 +30,7 @@ console concerns and stay out of the files).
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -48,8 +54,8 @@ from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    sl2_order_bruteforce, sphere_mass, BoxSpec)
 from .lattice import (EnumFilter, companion_of, count_membership_flips,
                       domain_cells, enumerate_primitive, euclid_tree,
-                      matrix_side_enumerate, solution_statistic, sphere_cells,
-                      verify_bijection)
+                      euclid_tree_gf2, matrix_side_enumerate,
+                      solution_statistic, sphere_cells, verify_bijection)
 from .laurent import lattice_direction_digits, rat
 
 SCHEMA_VERSION = 1
@@ -103,6 +109,9 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
         raise ConfigError("workers must be >= 1")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
+    out_dir = None if cfg.out is None else Path(cfg.out).parent
+    if out_dir is not None and not out_dir.is_dir():
+        raise ConfigError(f"output directory {str(out_dir)!r} does not exist")
     est = work_estimate(cfg)
     if est > cfg.guard:
         raise ConfigError(
@@ -326,6 +335,77 @@ def _tree_block(payload) -> Dict[int, Counter]:
     return tallies
 
 
+def _gf2_tree_block(payload) -> Dict[int, Counter]:
+    """_tree_block at q = 2 on the bitmasks of euclid_tree_gf2: the same
+    tallies under the same keys, with no Poly per node.
+
+    Digits are read off as small ints and spelled as _tree_block's tuples
+    once per distinct key.  Over GF(2) the mu of _ideal_orbit is 1 and
+    lead(Q_k) is 1, so with residues rg of r and sg of s modulo the
+    generator the orbit is ((0,), True) if rg = 0, ((1,), False) if rg = sg
+    and ((), False) otherwise.
+    """
+    _, _, gen_coeffs, n_lo, n_max, kind, m, mp, first_codes = payload
+
+    def mask(coeffs: Tuple[int, ...]) -> int:
+        return sum(c << i for i, c in enumerate(coeffs))
+
+    gen = 1 if gen_coeffs is None else mask(gen_coeffs)
+    glen = gen.bit_length()
+
+    def residue(x: int) -> int:
+        while x.bit_length() >= glen:
+            x ^= gen << (x.bit_length() - glen)
+        return x
+
+    orbits = (((0,), True), ((1,), False), ((), False), ((0, 1), True))
+    raw: Dict[tuple, int] = {}
+    for r, s, inv in euclid_tree_gf2(n_max, [mask(c) for c in first_codes]):
+        n = s.bit_length() - 1
+        if n < n_lo:
+            continue
+        if kind == "cfe" and gen != 1 and residue(r):
+            continue
+        if kind != "count":
+            # digits 1..mp-1 of inv/s: long division of inv * Y^(mp-1) by s
+            head, x = 0, inv << (mp - 1)
+            for k in range(mp - 2, -1, -1):
+                head <<= 1
+                if x >> (n + k) & 1:
+                    x ^= s << k
+                    head |= 1
+        if kind == "cfe":
+            key = (n, head)
+        else:
+            if gen == 1:
+                orbit = 3
+            else:
+                rg = residue(r)
+                orbit = 0 if not rg else 1 if rg == residue(s) else 2
+            if kind == "joint":
+                # the top m digits, at Y^n down to Y^(n-m+1); shifting
+                # left first reads zeros below Y^0 when m > n
+                key = (n, (s << (m - 1)) >> n, (r << (m - 1)) >> n, head, orbit)
+            else:
+                key = (n, orbit)
+        raw[key] = raw.get(key, 0) + 1
+    spell_m = list(itertools.product((0, 1), repeat=m))
+    spell_h = list(itertools.product((0, 1), repeat=mp - 1))
+    tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
+    for key, count in raw.items():
+        if kind == "cfe":
+            n, head = key
+            tallies[n][(spell_h[head], 1)] += count
+        elif kind == "joint":
+            n, s_top, r_top, head, orbit = key
+            tallies[n][(spell_m[s_top], spell_m[r_top], spell_h[head])
+                       + orbits[orbit]] += count
+        else:
+            n, orbit = key
+            tallies[n][orbits[orbit]] += count
+    return tallies
+
+
 def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
     """`kind` node tallies for levels max(1, n_min)..n_max from one walk of
     the Euclid tree, split over one process pool and merged by addition."""
@@ -336,12 +416,13 @@ def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Co
     payloads = [(cfg.q, cfg.modulus, gen, n_lo, cfg.n_max, kind, cfg.depth_m,
                  cfg.depth_mp, block)
                 for block in _first_quotient_blocks(field, cfg.n_max)]
+    walk = _gf2_tree_block if field.q == 2 else _tree_block
     processes = _pool_size(cfg.workers, len(payloads))
     if processes <= 1:
-        parts = [_tree_block(p) for p in payloads]
+        parts = [walk(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=processes) as ex:
-            parts = list(ex.map(_tree_block, payloads))
+            parts = list(ex.map(walk, payloads))
     merged: Dict[int, Counter] = {n: Counter() for n in range(n_lo, cfg.n_max + 1)}
     for part in parts:
         for n, tally in part.items():

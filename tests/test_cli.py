@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, output routing, dump files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fqlattice
 from fqlattice.cli import main
 
 
@@ -43,6 +46,24 @@ class TestExitCodes:
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err
+
+    def test_out_directory_missing(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.harness._walk_levels", no_work)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(["count", "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert "configuration error" in err and "does not exist" in err
+        assert not target.parent.exists()
+
+    def test_out_unwritable(self, tmp_path, capsys):
+        # --out naming a directory fails in the write itself
+        code, out, err = run(["count", "--n-max", "1", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("cannot write report: ") and str(tmp_path) in err
 
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -105,8 +126,13 @@ class TestOutputs:
 
 
 def test_module_entry_point():
+    # the child imports the same fqlattice as this process, whether that
+    # came from PYTHONPATH or from pytest's own pythonpath setting
+    src = str(Path(fqlattice.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fqlattice", "count", "--n-max", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "# kind=count" in proc.stdout

@@ -4,7 +4,9 @@ The tree path walks coprime (r, s) with r^-1 mod s read off the convergents,
 spreads each node over its orbit of sharp and blunt vectors, and reads the
 solution cell from one division.  The oracle scans every pair with a gcd and
 computes each vector's statistic with companion_of and RationalFn, and each
-cfe fraction's with penultimate_ratio.
+cfe fraction's with penultimate_ratio.  At q = 2 the runners walk the tree on
+bitmasks instead; that walk and its tallies are checked against the generic
+Poly walk, which the oracle tests cover at every q.
 """
 
 from collections import Counter
@@ -15,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits, run_cfe,
-                               run_count, run_joint)
+from fqlattice.harness import (RunConfig, _bin_ratios, _first_quotient_blocks,
+                               _gf2_tree_block, _head_digits, _tree_block,
+                               run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
-                               primitive_vectors, small_component,
-                               solution_statistic, sphere_cells)
+                               euclid_tree_gf2, primitive_vectors,
+                               small_component, solution_statistic,
+                               sphere_cells)
 from fqlattice.laurent import LatticeVec, lattice_direction_digits, rat
 
 QS = (2, 3, 4, 5, 7, 8, 9)
@@ -251,3 +255,77 @@ def test_first_quotients_partition_the_tree():
         parts += [(r.coeffs, s.coeffs)
                   for r, s, _, _ in euclid_tree(field, 3, list(polys_of_degree(field, d)))]
     assert sorted(parts) == whole
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) bitmask walk against the generic one
+# ---------------------------------------------------------------------------
+
+
+def _mask(p):
+    """The bitmask of a GF(2) polynomial: bit i is the coefficient of Y^i."""
+    return sum(c << i for i, c in enumerate(p.coeffs))
+
+
+def _masked_nodes(nodes):
+    return [(_mask(r), _mask(s), _mask(inv)) for r, s, inv, _ in nodes]
+
+
+def test_gf2_walk_yields_the_generic_nodes():
+    field = get_field(2)
+    n_max = 8
+    assert list(euclid_tree_gf2(n_max)) == _masked_nodes(euclid_tree(field, n_max))
+    for block in _first_quotient_blocks(field, n_max):
+        first = [field.poly(c) for c in block]
+        got = list(euclid_tree_gf2(n_max, [_mask(a) for a in first]))
+        assert got == _masked_nodes(euclid_tree(field, n_max, first)), block
+
+
+GF2_IDEALS = ("1", "Y", "Y+1", "Y^2+Y+1", "Y^3+Y+1")
+
+
+@pytest.mark.parametrize("kind", ["count", "joint", "cfe"])
+def test_gf2_block_tallies_match_generic(kind):
+    # m = 3 at level 1 reads digits of s and r below Y^0
+    field = get_field(2)
+    n_max = 5
+    for gen in GF2_IDEALS:
+        gen_coeffs = Ideal(poly_from_text(field, gen)).gen.coeffs
+        gen_coeffs = None if gen_coeffs == (1,) else gen_coeffs
+        for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
+            for n_lo in (1, 2):
+                for block in _first_quotient_blocks(field, n_max):
+                    payload = (2, None, gen_coeffs, n_lo, n_max, kind, m, mp, block)
+                    assert _gf2_tree_block(payload) == _tree_block(payload), \
+                        (gen, m, mp, n_lo, block)
+
+
+@st.composite
+def gf2_subtrees(draw):
+    """A first partial quotient over GF(2), a depth a few levels below it,
+    and a tally of the subtree: kind, ideal, cell depths, lowest level."""
+    d = draw(st.integers(1, 4))
+    n_max = d + draw(st.integers(0, 3))
+    tail = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["count", "joint", "cfe"]))
+    gen = draw(st.sampled_from(GF2_IDEALS))
+    m = draw(st.integers(1, 4))
+    mp = draw(st.integers(1, 5))
+    n_lo = draw(st.integers(1, n_max))
+    return tuple(tail) + (1,), n_max, kind, gen, m, mp, n_lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf2_subtrees())
+def test_gf2_subtree_nodes_and_tallies(case):
+    first, n_max, kind, gen, m, mp, n_lo = case
+    field = get_field(2)
+    a = field.poly(first)
+    nodes = list(euclid_tree_gf2(n_max, [_mask(a)]))
+    assert nodes == _masked_nodes(euclid_tree(field, n_max, [a]))
+    for r, s, inv in nodes:
+        assert 0 < r < s and inv < s and 1 <= s.bit_length() - 1 <= n_max
+    g = poly_from_text(field, gen)
+    payload = (2, None, None if g.is_one() else g.coeffs, n_lo, n_max, kind,
+               m, mp, (first,))
+    assert _gf2_tree_block(payload) == _tree_block(payload)
