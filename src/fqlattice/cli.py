@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the run completes and every hard assertion holds, 1 when a
 verification row, bijection case, or joint trend check fails, 2 for
-configuration errors (including the work guard and an `--out` whose directory
-does not exist) and for a report that cannot be written.
+configuration errors (including the work and row guards and an `--out` whose
+directory does not exist) and for a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -56,15 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal", default="1",
                        help="ideal generator as polynomial text, e.g. 'Y' or "
                             "'Y^2+Y+1' (default 1)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted (must be >= 1) but has no effect: "
+                            "count, joint and cfe run in one process")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--dump", action="store_true",
                        help="materialize point lists for levels n <= 4")
         p.add_argument("--guard", type=int, default=10 ** 8,
-                       help="refuse runs whose work estimate q^(2*n_max+2) "
-                            "exceeds this bound")
+                       help="refuse runs whose work estimate q^(2*n_max+2), "
+                            "or whose report table rows, exceed this bound")
         p.add_argument("--cell-floor", type=int, default=8,
                        help="warn when expected counts per cell drop below "
                             "this floor")

@@ -4,27 +4,34 @@ continued-fraction statistics, verification tables, and report rendering.
 Everything is computed in exact arithmetic (integers and Fractions), so a
 report is a pure function of its configuration.
 
-`count`, `joint` and `cfe` walk the Euclid tree once, to depth n_max, for
-all their levels at once.  Each node is a coprime pair (r, s), s monic of
-degree n >= 1 and deg r < n, together with r^-1 mod s and lead(Q_k) read off
-the convergents.  Over it lies an orbit of (q - 1)(q + 1) primitive vectors
-of level n, the sharp (lambda*s, c*lambda*s + r) and the blunt
+`count`, `joint` and `cfe` tally the nodes of the Euclid tree per level and
+key, for all their levels at once.  Each node is a coprime pair (r, s), s
+monic of degree n >= 1 and deg r < n, with r^-1 mod s and lead(Q_k) read off
+the convergents of r/s.  Over it lies an orbit of (q - 1)(q + 1) primitive
+vectors of level n, the sharp (lambda*s, c*lambda*s + r) and the blunt
 (r, lambda*s), whose direction cells come from the top digits of r and s and
-whose solution statistic is -+lambda^-1 r^-1/s; so one division per node
-bins the whole orbit.  `cfe` bins the q - 1 pairs (lambda*r, lambda*s) of
-each node with r in the ideal by the penultimate convergent ratio
--lead(Q_k)^-2 r^-1/s, from the same division.  At q = 2 the blocks walk the
-tree on bitmasks (`euclid_tree_gf2`, `_gf2_tree_block`) with the same keys:
-over GF(2) every lead and sign is 1 and addition is XOR, so a node costs a
-few shifts and XORs instead of several Poly objects.  The choice is by the
-field alone, a property of the input, and the generic `_tree_block` stays the
-only path for q > 2 and the reference for q = 2 in the tests.  Level 0 keeps
-the vector-by-vector path.  Parallel runs split the tree by first partial
-quotient over one process pool per run.  Block results are plain counters
-merged by addition, which makes the output independent of the worker count.
-To keep that guarantee byte-exact, serialized reports echo only the
-result-relevant configuration (worker count, output path, and wall time are
-console concerns and stay out of the files).
+whose solution statistic is -+lambda^-1 r^-1/s; so one key per node bins
+the whole orbit.  `cfe` bins the q - 1 pairs (lambda*r, lambda*s) of each
+node with r in the ideal by the penultimate convergent ratio
+-lead(Q_k)^-2 r^-1/s.
+
+The tallies come from a transfer DP over the convergent recurrence
+Q_{k+1} = a Q_k + Q_{k-1} (and the same for P), not from visiting nodes.
+Products in F_q[Y] carry nothing, so the top w coefficients of a Q_k depend
+only on the top w of a and of Q_k, and Q_{k-1} reaches them only when
+deg a + deg Q_k - deg Q_{k-1} < w.  A state at D = deg Q_k holds those
+windows of Q_k and Q_{k-1} (and m digits of P_k and P_{k-1} for joint), each
+read from its own Q degree down with zeros below Y^0, the gap
+deg Q_k - deg Q_{k-1}, the sign (-1)^(k+1) and, for a proper ideal, the four
+residues mod its generator; each node key is a function of the state.  w is
+max(m, mp - 1) for joint, max(1, mp - 1) for cfe (lead(Q_k) is in its key)
+and 0 for count.  The gap is capped at w + 1, not w: a gap of exactly
+mp - 1 = w still puts a nonzero digit at depth mp - 1, so only gaps beyond
+w behave alike.  `_tree_block`, the walk of `lattice.euclid_tree` node by
+node, is the DP's oracle in the tests.  Level 0 keeps the vector-by-vector
+path.  Everything runs in one process; `workers` has no effect.  Serialized
+reports echo only the result-relevant configuration (worker count, output
+path, and wall time stay out of the files).
 """
 
 from __future__ import annotations
@@ -33,11 +40,9 @@ import io
 import itertools
 import json
 import math
-import os
 import subprocess
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,8 +59,8 @@ from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    sl2_order_bruteforce, sphere_mass, BoxSpec)
 from .lattice import (EnumFilter, companion_of, count_membership_flips,
                       domain_cells, enumerate_primitive, euclid_tree,
-                      euclid_tree_gf2, matrix_side_enumerate,
-                      solution_statistic, sphere_cells, verify_bijection)
+                      matrix_side_enumerate, solution_statistic, sphere_cells,
+                      verify_bijection)
 from .laurent import lattice_direction_digits, rat
 
 SCHEMA_VERSION = 1
@@ -100,6 +105,23 @@ def work_estimate(cfg: RunConfig) -> int:
     return cfg.q ** (2 * cfg.n_max + 2)
 
 
+def _report_rows(cfg: RunConfig) -> int:
+    """Rows of the cell table of `joint`, `cfe` or `bijection`: one per level
+    and cell, from the cell counts (q^2 - 1) q^(2m - 2) of all direction
+    cells, (q - 1) q^(2m - 1) of the sharp ones, and q^(mp - 1) of the
+    solution cells.  Other experiments have no cell table."""
+    q, levels = cfg.q, cfg.n_max - cfg.n_min + 1
+    if cfg.experiment == "cfe":
+        directions = 1
+    elif cfg.experiment == "joint":
+        directions = (q * q - 1) * q ** (2 * cfg.depth_m - 2)
+    elif cfg.experiment == "bijection":
+        directions = (q - 1) * q ** (2 * cfg.depth_m - 1)
+    else:
+        return 0
+    return levels * directions * q ** (cfg.depth_mp - 1)
+
+
 def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     if cfg.n_min < 0 or cfg.n_min > cfg.n_max:
         raise ConfigError(f"empty or negative level range [{cfg.n_min}, {cfg.n_max}]")
@@ -116,6 +138,12 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     if est > cfg.guard:
         raise ConfigError(
             f"work estimate q^(2*n_max+2) = {est} exceeds guard {cfg.guard}; "
+            "raise --guard to proceed")
+    rows = _report_rows(cfg)
+    if rows > cfg.guard:
+        raise ConfigError(
+            f"the {cfg.experiment} report would hold {rows} rows at depths "
+            f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
             "raise --guard to proceed")
     try:
         field = get_field(cfg.q, cfg.modulus)
@@ -260,27 +288,8 @@ def render_report(report: Report, fmt: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parallel enumeration core
+# level tallies: the transfer DP, and the Euclid-tree walk as its oracle
 # ---------------------------------------------------------------------------
-
-
-def _pool_size(workers: int, blocks: int) -> int:
-    """Processes for a run: never more than requested, than CPUs, or than
-    blocks.  The worker count stays out of the reports, so an oversized
-    request is clamped rather than rejected."""
-    return min(workers, os.cpu_count() or 1, blocks)
-
-
-def _first_quotient_blocks(field: Fq, n_max: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    """The Euclid tree split by first partial quotient, largest blocks first.
-
-    A first quotient of degree d roots q^(-2d) of the nodes, so each degree-1
-    quotient is a block of its own and every higher degree forms one block.
-    """
-    blocks = [(a.coeffs,) for a in polys_of_degree(field, 1)]
-    blocks += [tuple(a.coeffs for a in polys_of_degree(field, d))
-               for d in range(2, n_max + 1)]
-    return blocks
 
 
 def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
@@ -304,20 +313,17 @@ def _head_digits(inv: Poly, s: Poly, mp: int) -> Tuple[int, ...]:
     return tuple(head.coeff(k) for k in range(mp - 2, -1, -1))
 
 
-def _tree_block(payload) -> Dict[int, Counter]:
-    """Per-level tallies of the Euclid-tree nodes under one block of first
-    partial quotients.  A node's key holds what binning it needs: for count
-    the admissible mu and the blunt flag of _ideal_orbit, for joint the top m
-    digits of s and r and the solution-cell digits of r^-1/s before those,
-    and for cfe, whose nodes need r in the ideal, the digits of r^-1/s and
-    lead(Q_k)."""
-    q, modulus, gen_coeffs, n_lo, n_max, kind, m, mp, first_codes = payload
-    field = get_field(q, modulus)
-    gen = None if gen_coeffs is None else Poly(field, gen_coeffs)
-    every_mu = tuple(range(q))
+def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
+                kind: str, m: int, mp: int) -> Dict[int, Counter]:
+    """Per-level tallies of the Euclid-tree nodes, node by node: the oracle
+    of _transfer_tallies.  A node's key holds what binning it needs: for
+    count the admissible mu and the blunt flag of _ideal_orbit (gen None is
+    the unit ideal), for joint the top m digits of s and r and the
+    solution-cell digits of r^-1/s before those, and for cfe, whose nodes
+    need r in the ideal, the digits of r^-1/s and lead(Q_k)."""
+    every_mu = tuple(range(field.q))
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
-    first = [Poly(field, c) for c in first_codes]
-    for r, s, inv, lead in euclid_tree(field, n_max, first):
+    for r, s, inv, lead in euclid_tree(field, n_max):
         n = s.degree
         if n < n_lo:
             continue
@@ -335,99 +341,124 @@ def _tree_block(payload) -> Dict[int, Counter]:
     return tallies
 
 
-def _gf2_tree_block(payload) -> Dict[int, Counter]:
-    """_tree_block at q = 2 on the bitmasks of euclid_tree_gf2: the same
-    tallies under the same keys, with no Poly per node.
+def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
+                      kind: str, m: int, mp: int) -> Dict[int, Counter]:
+    """The tallies of _tree_block, counted per (level, state) by the
+    transfer DP of the module docstring instead of node by node.  The
+    quotients a of degree d act in classes (top w digits, a mod gen) with a
+    multiplicity each; the residue is uniform over a class once a has
+    deg gen free digits below its window (below its lead when w = 0)."""
+    q = field.q
+    add, mul, neg, inv_t = field.add_t, field.mul_t, field.neg_t, field.inv_t
+    w = {"joint": max(m, mp - 1), "cfe": max(1, mp - 1)}.get(kind, 0)
+    wp = m if kind == "joint" else 0
+    cap = w + 1
+    g = 0 if gen is None else gen.degree
+    # residues as small ints: the index of the residue in this list
+    residues = list(polys_up_to_degree(field, g - 1)) if g else [field.zero]
+    code = {p.coeffs: i for i, p in enumerate(residues)}
 
-    Digits are read off as small ints and spelled as _tree_block's tuples
-    once per distinct key.  Over GF(2) the mu of _ideal_orbit is 1 and
-    lead(Q_k) is 1, so with residues rg of r and sg of s modulo the
-    generator the orbit is ((0,), True) if rg = 0, ((1,), False) if rg = sg
-    and ((), False) otherwise.
-    """
-    _, _, gen_coeffs, n_lo, n_max, kind, m, mp, first_codes = payload
-
-    def mask(coeffs: Tuple[int, ...]) -> int:
-        return sum(c << i for i, c in enumerate(coeffs))
-
-    gen = 1 if gen_coeffs is None else mask(gen_coeffs)
-    glen = gen.bit_length()
-
-    def residue(x: int) -> int:
-        while x.bit_length() >= glen:
-            x ^= gen << (x.bit_length() - glen)
-        return x
-
-    orbits = (((0,), True), ((1,), False), ((), False), ((0, 1), True))
-    raw: Dict[tuple, int] = {}
-    for r, s, inv in euclid_tree_gf2(n_max, [mask(c) for c in first_codes]):
-        n = s.bit_length() - 1
-        if n < n_lo:
-            continue
-        if kind == "cfe" and gen != 1 and residue(r):
-            continue
-        if kind != "count":
-            # digits 1..mp-1 of inv/s: long division of inv * Y^(mp-1) by s
-            head, x = 0, inv << (mp - 1)
-            for k in range(mp - 2, -1, -1):
-                head <<= 1
-                if x >> (n + k) & 1:
-                    x ^= s << k
-                    head |= 1
-        if kind == "cfe":
-            key = (n, head)
+    def classes(d: int) -> List[Tuple[Tuple[int, ...], int, int]]:
+        top = max(w, 1)
+        free = d + 1 - top
+        out: Counter = Counter()
+        if free >= g:
+            each = q ** (free - g)
+            for A in itertools.product(range(q), repeat=top):
+                if A[0]:
+                    for rho in range(len(residues)):
+                        out[(A[:w], rho)] += each
         else:
-            if gen == 1:
-                orbit = 3
-            else:
-                rg = residue(r)
-                orbit = 0 if not rg else 1 if rg == residue(s) else 2
-            if kind == "joint":
-                # the top m digits, at Y^n down to Y^(n-m+1); shifting
-                # left first reads zeros below Y^0 when m > n
-                key = (n, (s << (m - 1)) >> n, (r << (m - 1)) >> n, head, orbit)
-            else:
-                key = (n, orbit)
-        raw[key] = raw.get(key, 0) + 1
-    spell_m = list(itertools.product((0, 1), repeat=m))
-    spell_h = list(itertools.product((0, 1), repeat=mp - 1))
+            for a in polys_of_degree(field, d):
+                rho = 0 if gen is None else code[(a % gen).coeffs]
+                out[(tuple(a.coeff(d - j) for j in range(w)), rho)] += 1
+        return [(A, rho, mult) for (A, rho), mult in out.items()]
+
+    def window(A, W, W_prev, shift, width):
+        """Top `width` coefficients of a*X + X_prev, where W holds X and
+        W_prev holds X_prev from `shift` places below the top of a*X."""
+        out = []
+        for i in range(width):
+            c = W_prev[i - shift] if i >= shift else 0
+            for j in range(i + 1):
+                c = add[c][mul[A[j]][W[i - j]]]
+            out.append(c)
+        return tuple(out)
+
+    steps: Dict[tuple, tuple] = {}
+
+    def res_step(rho, res):
+        """(rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen."""
+        a = residues[rho]
+        rp, rq, rpp, rqp = (residues[x] for x in res)
+        steps[(rho, res)] = new = (code[((a * rp + rpp) % gen).coeffs],
+                                   code[((a * rq + rqp) % gen).coeffs], res[0], res[1])
+        return new
+
+    # k = 0: P_0 = 0 and Q_0 = 1, with P_{-1} = 1 and Q_{-1} = 0 at gap 0,
+    # so that a first quotient a gives P_1 = 1 and Q_1 = a
+    one = (1,) + (0,) * w
+    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1],
+             (0, code[(1,)], code[(1,)], 0) if gen is not None else ())
+    by_degree = [()] + [classes(d) for d in range(1, n_max + 1)]
+    levels: List[Counter] = [Counter() for _ in range(n_max + 1)]
+    levels[0][start] = 1
+    for D in range(n_max):
+        for (P, Q, P_prev, Q_prev, gap, sign, res), count in levels[D].items():
+            flip = neg[sign]
+            for d in range(1, n_max - D + 1):
+                nxt, shift, new_gap = levels[D + d], gap + d, min(d, cap)
+                for A, rho, mult in by_degree[d]:
+                    new_res = res and (steps.get((rho, res)) or res_step(rho, res))
+                    nxt[(window(A, P, P_prev, shift, wp), window(A, Q, Q_prev, shift, w),
+                         P, Q, new_gap, flip, new_res)] += count * mult
+
+    def head(Q, Q_prev, gap, sign):
+        """Digits 1..mp-1 of r^-1/s = sign lead^2 Q_{k-1}/Q_k: the series
+        Q_prev/Q, scaled, from digit `gap` on."""
+        lead = Q[0]
+        unlead, scale = inv_t[lead], mul[sign][mul[lead][lead]]
+        c: List[int] = []
+        for i in range(mp - gap):
+            x = Q_prev[i]
+            for j in range(1, i + 1):
+                x = add[x][neg[mul[Q[j]][c[i - j]]]]
+            c.append(mul[x][unlead])
+        return (0,) * min(gap - 1, mp - 1) + tuple(mul[scale][x] for x in c)
+
+    orbits: Dict[Tuple[int, ...], tuple] = {}
+
+    def orbit(rp, rq):
+        if (rp, rq) not in orbits:
+            orbits[(rp, rq)] = _ideal_orbit(residues[rp], residues[rq], gen)
+        return orbits[(rp, rq)]
+
+    every_mu = tuple(range(q))
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
-    for key, count in raw.items():
-        if kind == "cfe":
-            n, head = key
-            tallies[n][(spell_h[head], 1)] += count
-        elif kind == "joint":
-            n, s_top, r_top, head, orbit = key
-            tallies[n][(spell_m[s_top], spell_m[r_top], spell_h[head])
-                       + orbits[orbit]] += count
-        else:
-            n, orbit = key
-            tallies[n][orbits[orbit]] += count
+    for n in range(n_lo, n_max + 1):
+        for (P, Q, _, Q_prev, gap, sign, res), count in levels[n].items():
+            if kind == "cfe":
+                if gen is not None and res[0]:
+                    continue
+                key = (head(Q, Q_prev, gap, sign), Q[0])
+            else:
+                key = (every_mu, True) if gen is None else orbit(*res[:2])
+                if kind == "joint":
+                    unlead = mul[inv_t[Q[0]]]
+                    key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
+                           head(Q, Q_prev, gap, sign)) + key
+            tallies[n][key] += count
     return tallies
 
 
-def _walk_levels(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
-    """`kind` node tallies for levels max(1, n_min)..n_max from one walk of
-    the Euclid tree, split over one process pool and merged by addition."""
+def _level_tallies(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
+    """`kind` node tallies for levels max(1, n_min)..n_max."""
     n_lo = max(1, cfg.n_min)
     if cfg.n_max < n_lo:
         return {}
-    gen = None if I.gen.is_one() else I.gen.coeffs
-    payloads = [(cfg.q, cfg.modulus, gen, n_lo, cfg.n_max, kind, cfg.depth_m,
-                 cfg.depth_mp, block)
-                for block in _first_quotient_blocks(field, cfg.n_max)]
-    walk = _gf2_tree_block if field.q == 2 else _tree_block
-    processes = _pool_size(cfg.workers, len(payloads))
-    if processes <= 1:
-        parts = [walk(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as ex:
-            parts = list(ex.map(walk, payloads))
-    merged: Dict[int, Counter] = {n: Counter() for n in range(n_lo, cfg.n_max + 1)}
-    for part in parts:
-        for n, tally in part.items():
-            merged[n].update(tally)
-    return merged
+    gen = None if I.gen.is_one() else I.gen
+    return _transfer_tallies(field, gen, n_lo, cfg.n_max, kind, cfg.depth_m,
+                             cfg.depth_mp)
 
 
 def _orbit_size(field: Fq, tally: Counter) -> int:
@@ -584,7 +615,7 @@ def run_count(cfg: RunConfig) -> Report:
     rows = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
-    nodes = _walk_levels(cfg, field, I, "count")
+    nodes = _level_tallies(cfg, field, I, "count")
     for n in levels:
         if n == 0:
             total = sum(1 for _ in enumerate_primitive(field, EnumFilter(n=0, ideal=I)))
@@ -626,7 +657,7 @@ def run_joint(cfg: RunConfig,
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
-    nodes = _walk_levels(cfg, field, I, "joint")
+    nodes = _level_tallies(cfg, field, I, "joint")
     for n in levels:
         if n == 0:
             hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
@@ -675,7 +706,7 @@ def run_cfe(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {"prefactor": pref}
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     cells = [(dp,) for dp in dp_ids.values()]
-    nodes = _walk_levels(cfg, field, I, "cfe")
+    nodes = _level_tallies(cfg, field, I, "cfe")
     for n in range(cfg.n_min, cfg.n_max + 1):
         hist = _bin_ratios(field, nodes.get(n, Counter()), dp_ids)
         # expected count: q^{2n} times the cell's probability mass over the

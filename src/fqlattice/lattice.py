@@ -10,11 +10,11 @@ enumerations are kept logically independent above the shared polynomial
 arithmetic so that comparing them is an actual check.
 
 Coprime pairs come two ways: `euclid_tree` builds them from continued
-fractions with their modular inverses and no gcd, which is what the runners
-use; `primitive_vectors` scans every pair with a gcd and stays as the oracle.
-`euclid_tree_gf2` is the same walk over GF(2) on Python ints, bit i the
-coefficient of Y^i; the runners take it whenever q = 2, because there every
-leading coefficient and sign is 1 and the walk needs only shifts and XORs.
+fractions with their modular inverses and no gcd; `primitive_vectors` scans
+every pair with a gcd.  Both are oracles now.  The histogram runners count
+the tree's nodes by a transfer DP over the same convergent recurrence (see
+`harness`), and the tests check that DP against the walk of `euclid_tree`,
+key by key, and the walk against `primitive_vectors`.
 
 Cylinders are the finite-depth cells used for equidistribution bookkeeping:
 a sphere cell fixes the leading expansion digits of the direction of v, a
@@ -251,39 +251,6 @@ def euclid_tree(field: Fq, n_max: int,
         for d in range(1, n_max - q.degree + 1):
             for a in quotients[d]:
                 stack.append((p, q, a * p + pp, a * q + qp, flip))
-
-
-def euclid_tree_gf2(n_max: int, first: Optional[Sequence[int]] = None
-                    ) -> Iterator[Tuple[int, int, int]]:
-    """`euclid_tree` over GF(2) on bitmasks, bit i being the coefficient of
-    Y^i: the nodes (r, s, r^-1 mod s) of `euclid_tree(get_field(2), ...)` in
-    the same order, lead(Q_k) = 1 left out.
-
-    Addition is XOR and the degree is bit_length() - 1.  Every leading
-    coefficient is 1 and every sign +1, so a node is (P_k, Q_k, Q_{k-1}) as
-    it stands.  The children under the degree-d quotients Y^d + t, t < 2^d,
-    are (Q_k << d) ^ t*Q_k ^ Q_{k-1}, and likewise for P, with every t*Q_k
-    built by doubling: one XOR per t and no multiplication.
-    """
-    if first is None:
-        first = range(2, 2 << n_max)
-    stack = [(0, 1, 1, a) for a in reversed(first)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        pp, qp, p, q = pop()
-        yield p, q, qp
-        room = n_max + 1 - q.bit_length()
-        if room < 1:
-            continue
-        # tp[t] = t*P_k and tq[t] = t*Q_k for every t < 2^room
-        tp, tq = [0], [0]
-        for j in range(room):
-            tp += [x ^ (p << j) for x in tp]
-            tq += [x ^ (q << j) for x in tq]
-        for d in range(1, room + 1):
-            pd, qd = p << d, q << d
-            for t in range(1 << d):
-                push((p, q, pd ^ tp[t] ^ pp, qd ^ tq[t] ^ qp))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class TestExitCodes:
     def test_out_directory_missing(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._walk_levels", no_work)
+        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(["count", "--out", str(target)], capsys)
         assert code == 2 and out == ""

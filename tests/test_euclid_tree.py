@@ -1,12 +1,13 @@
-"""The Euclid-tree path of count, joint and cfe against its brute-force oracle.
+"""The Euclid-tree path of count, joint and cfe against its oracles.
 
-The tree path walks coprime (r, s) with r^-1 mod s read off the convergents,
-spreads each node over its orbit of sharp and blunt vectors, and reads the
-solution cell from one division.  The oracle scans every pair with a gcd and
-computes each vector's statistic with companion_of and RationalFn, and each
-cfe fraction's with penultimate_ratio.  At q = 2 the runners walk the tree on
-bitmasks instead; that walk and its tallies are checked against the generic
-Poly walk, which the oracle tests cover at every q.
+The tree path tallies coprime (r, s) with r^-1 mod s read off the
+convergents, spreads each node over its orbit of sharp and blunt vectors, and
+reads the solution cell from one division.  The runners count those tallies
+with a transfer DP; the walk of `euclid_tree` node by node (`_tree_block`)
+is its oracle, key by key.  The walk in turn is checked against the scan of
+every pair with a gcd, with each vector's statistic from companion_of and
+RationalFn and each cfe fraction's from penultimate_ratio.  Beyond the walk's
+reach, the DP's level totals are checked against closed forms.
 """
 
 from collections import Counter
@@ -17,13 +18,12 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _first_quotient_blocks,
-                               _gf2_tree_block, _head_digits, _tree_block,
-                               run_cfe, run_count, run_joint)
+from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits,
+                               _transfer_tallies, _tree_block, run_cfe,
+                               run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
-                               euclid_tree_gf2, primitive_vectors,
-                               small_component, solution_statistic,
-                               sphere_cells)
+                               primitive_vectors, small_component,
+                               solution_statistic, sphere_cells)
 from fqlattice.laurent import LatticeVec, lattice_direction_digits, rat
 
 QS = (2, 3, 4, 5, 7, 8, 9)
@@ -258,74 +258,82 @@ def test_first_quotients_partition_the_tree():
 
 
 # ---------------------------------------------------------------------------
-# the GF(2) bitmask walk against the generic one
+# the transfer DP against the walk
 # ---------------------------------------------------------------------------
 
 
-def _mask(p):
-    """The bitmask of a GF(2) polynomial: bit i is the coefficient of Y^i."""
-    return sum(c << i for i, c in enumerate(p.coeffs))
-
-
-def _masked_nodes(nodes):
-    return [(_mask(r), _mask(s), _mask(inv)) for r, s, inv, _ in nodes]
-
-
-def test_gf2_walk_yields_the_generic_nodes():
-    field = get_field(2)
-    n_max = 8
-    assert list(euclid_tree_gf2(n_max)) == _masked_nodes(euclid_tree(field, n_max))
-    for block in _first_quotient_blocks(field, n_max):
-        first = [field.poly(c) for c in block]
-        got = list(euclid_tree_gf2(n_max, [_mask(a) for a in first]))
-        assert got == _masked_nodes(euclid_tree(field, n_max, first)), block
-
-
-GF2_IDEALS = ("1", "Y", "Y+1", "Y^2+Y+1", "Y^3+Y+1")
+# (q, highest level, ideal generators, cell depths): a degree-2 generator
+# lists its quotients of low degree one by one and groups the rest by
+# residue; the depths put mp - 1 above, at and below m, so either sets the
+# window, (1, 1) has no solution digits, and m = 3 reads digits below Y^0
+DP_DEPTHS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 1), (3, 4))
+DP_GRID = [
+    (2, 5, ("1", "Y", "Y+1", "Y^2+Y+1"), ((1, 3), (3, 4))),
+    (3, 3, ("1", "Y", "Y+1", "Y^2+1"), DP_DEPTHS),
+    (4, 3, ("1", "Y", "Y+1", "Y^2+Y+[10]"), ((3, 4),)),
+    (5, 2, ("1", "Y", "Y+1", "Y^2+2"), ((1, 1), (2, 3), (3, 1))),
+    (7, 2, ("1", "Y", "Y+1", "Y^2+1"), ((2, 3),)),
+    (8, 2, ("Y+1", "Y^2+Y+1"), ((1, 2),)),
+    (9, 2, ("1", "Y^2+1"), ((2, 3),)),
+]
 
 
 @pytest.mark.parametrize("kind", ["count", "joint", "cfe"])
-def test_gf2_block_tallies_match_generic(kind):
-    # m = 3 at level 1 reads digits of s and r below Y^0
-    field = get_field(2)
-    n_max = 5
-    for gen in GF2_IDEALS:
-        gen_coeffs = Ideal(poly_from_text(field, gen)).gen.coeffs
-        gen_coeffs = None if gen_coeffs == (1,) else gen_coeffs
-        for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
-            for n_lo in (1, 2):
-                for block in _first_quotient_blocks(field, n_max):
-                    payload = (2, None, gen_coeffs, n_lo, n_max, kind, m, mp, block)
-                    assert _gf2_tree_block(payload) == _tree_block(payload), \
-                        (gen, m, mp, n_lo, block)
+def test_dp_tallies_match_walk(kind):
+    for q, n_max, gens, depths in DP_GRID:
+        field = get_field(q)
+        for gen in gens:
+            g = Ideal(poly_from_text(field, gen)).gen
+            g = None if g.is_one() else g
+            for m, mp in depths if kind != "count" else depths[:1]:
+                walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+                for n_lo in (1, 2):
+                    dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
+                    assert dp == {n: t for n, t in walk.items() if n >= n_lo}, \
+                        (q, gen, m, mp, n_lo)
 
 
 @st.composite
-def gf2_subtrees(draw):
-    """A first partial quotient over GF(2), a depth a few levels below it,
-    and a tally of the subtree: kind, ideal, cell depths, lowest level."""
-    d = draw(st.integers(1, 4))
-    n_max = d + draw(st.integers(0, 3))
-    tail = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
-    kind = draw(st.sampled_from(["count", "joint", "cfe"]))
-    gen = draw(st.sampled_from(GF2_IDEALS))
-    m = draw(st.integers(1, 4))
-    mp = draw(st.integers(1, 5))
-    n_lo = draw(st.integers(1, n_max))
-    return tuple(tail) + (1,), n_max, kind, gen, m, mp, n_lo
+def dp_configs(draw):
+    """A field, a monic generator of degree 0-3, a kind, cell depths and a
+    level range small enough for the walk."""
+    q = draw(st.sampled_from(QS))
+    g = draw(st.integers(0, 3 if q <= 3 else 2))
+    tail = draw(st.lists(st.integers(0, q - 1), min_size=g, max_size=g))
+    n_max = draw(st.integers(1, {2: 6, 3: 4, 4: 3}.get(q, 2)))
+    return (q, get_field(q).poly(tuple(tail) + (1,)), draw(st.integers(1, n_max)),
+            n_max, draw(st.sampled_from(["count", "joint", "cfe"])),
+            draw(st.integers(1, 4)), draw(st.integers(1, 5)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(gf2_subtrees())
-def test_gf2_subtree_nodes_and_tallies(case):
-    first, n_max, kind, gen, m, mp, n_lo = case
-    field = get_field(2)
-    a = field.poly(first)
-    nodes = list(euclid_tree_gf2(n_max, [_mask(a)]))
-    assert nodes == _masked_nodes(euclid_tree(field, n_max, [a]))
-    for r, s, inv in nodes:
-        assert 0 < r < s and inv < s and 1 <= s.bit_length() - 1 <= n_max
-    g = poly_from_text(field, gen)
-    payload = (2, None, None if g.is_one() else g.coeffs, n_lo, n_max, kind,
-               m, mp, (first,))
-    assert _gf2_tree_block(payload) == _tree_block(payload)
+@given(dp_configs())
+def test_dp_matches_walk_on_random_configs(case):
+    q, gen, n_lo, n_max, kind, m, mp = case
+    args = (get_field(q), None if gen.is_one() else gen, n_lo, n_max, kind, m, mp)
+    assert _transfer_tallies(*args) == _tree_block(*args)
+
+
+def test_dp_level_totals_beyond_the_walk():
+    # nodes per level: q^(2n) - q^(2n-1); each carries (q-1)(q+1) vectors
+    # for joint and q - 1 fractions for cfe
+    def nodes(q, n):
+        return q ** (2 * n) - q ** (2 * n - 1)
+    big = 10 ** 40
+    joint = run_joint(RunConfig(q=2, n_min=1, n_max=30, experiment="joint", guard=big))
+    for n in range(1, 31):
+        assert joint.summary[f"total[n={n}]"] == 3 * nodes(2, n)
+        if n >= 2:
+            # the flagship cells are exact from level 2 on
+            assert joint.summary[f"sup_discrepancy[n={n}]"] == 0
+    cfe = run_cfe(RunConfig(q=5, n_min=1, n_max=12, experiment="cfe", guard=big))
+    for n in range(1, 13):
+        assert cfe.summary[f"total[n={n}]"] == 4 * nodes(5, n)
+    # ideal Y: (q-1)^2 (q^(2n-1) - 1) vectors, which the walk gives too
+    for q in (2, 3):
+        count = run_count(RunConfig(q=q, n_min=1, n_max=20, ideal="Y", guard=big))
+        want = [(q - 1) ** 2 * (q ** (2 * n - 1) - 1) for n in range(1, 21)]
+        assert [r["exact_count"] for r in count.rows] == want
+        walk = _tree_block(get_field(q), get_field(q).Y, 1, 4, "count", 1, 2)
+        assert [(q - 1) * sum(c * (len(mus) + blunt) for (mus, blunt), c in t.items())
+                for t in walk.values()] == want[:4]

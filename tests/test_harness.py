@@ -48,6 +48,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(RunConfig(**kwargs))
 
+    @pytest.mark.parametrize("experiment", ["joint", "bijection"])
+    def test_guard_counts_report_rows(self, experiment):
+        # q^(2*n_max+2) = 256, but the cells at depths 40 x 40 would make
+        # about 2^118 rows; the refusal comes before any cell is built
+        cfg = RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40, experiment=experiment)
+        assert work_estimate(cfg) == 256
+        with pytest.raises(ConfigError, match="rows"):
+            validate_config(cfg)
+        validate_config(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
+
+    def test_guard_counts_cfe_rows(self):
+        cfg = dict(q=3, n_min=1, n_max=2, depth_mp=8, experiment="cfe")
+        # 2 levels * 3^7 solution cells
+        validate_config(RunConfig(guard=2 * 3 ** 7, **cfg))
+        with pytest.raises(ConfigError, match="4374 rows"):
+            validate_config(RunConfig(guard=2 * 3 ** 7 - 1, **cfg))
+
+    @pytest.mark.parametrize("runner,cfg", [
+        (run_joint, dict(q=3, n_min=0, n_max=1, depth_m=2, depth_mp=2, experiment="joint")),
+        (run_cfe, dict(q=2, n_min=0, n_max=1, depth_mp=5, experiment="cfe")),
+        (run_bijection, dict(q=2, n_min=0, n_max=1, depth_m=2, depth_mp=2,
+                             experiment="bijection")),
+    ])
+    def test_row_guard_is_exact(self, runner, cfg):
+        rows = len(runner(RunConfig(**cfg)).rows)
+        validate_config(RunConfig(guard=rows, **cfg))
+        with pytest.raises(ConfigError, match=f"{rows} rows"):
+            validate_config(RunConfig(guard=rows - 1, **cfg))
+
     def test_valid_config_returns_field_and_ideal(self):
         field, I = validate_config(RunConfig(q=3, ideal="Y^2+1"))
         assert field.q == 3 and str(I.gen) == "Y^2+1"
@@ -254,51 +283,30 @@ class TestDeterminism:
 
 
 class TestWorkerCap:
-    class StubPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-        sizes = []
+    """The runners work in one process: --workers is accepted and validated
+    but opens no pool, and the reports do not depend on it."""
 
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+    RUNS = ((run_count, dict(q=3, n_min=0, n_max=3)),
+            (run_joint, dict(q=2, n_min=1, n_max=4, ideal="Y", experiment="joint")),
+            (run_cfe, dict(q=2, n_min=1, n_max=4, experiment="cfe")))
 
     @pytest.fixture
-    def pool(self, monkeypatch):
-        import fqlattice.harness as harness
-        self.StubPool.sizes = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", self.StubPool)
-        return harness
+    def no_processes(self, monkeypatch):
+        import multiprocessing.process
 
-    @pytest.mark.parametrize("workers,cpus,size", [
-        (8, 2, 2), (3, 2, 2), (2, 64, 2), (64, 64, 5), (2, None, None)])
-    def test_pool_size_is_clamped(self, pool, monkeypatch, workers, cpus, size):
-        # q=2, n_max=4 splits into 2 degree-1 blocks plus degrees 2, 3, 4
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
-        cfg = dict(q=2, n_min=1, n_max=4, ideal="Y", experiment="joint")
-        rep = run_joint(RunConfig(workers=workers, **cfg))
-        assert self.StubPool.sizes == ([] if size is None else [size])
-        assert to_csv(rep) == to_csv(run_joint(RunConfig(workers=1, **cfg)))
+        def refuse(process):
+            raise AssertionError("a runner started a process")
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
-    def test_one_pool_per_run(self, pool, monkeypatch):
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 4)
-        run_count(RunConfig(q=3, n_min=0, n_max=3, workers=4))
-        assert self.StubPool.sizes == [4]
-        # cfe walks the tree once for all four levels: one pool, not one per level
-        self.StubPool.sizes.clear()
-        run_cfe(RunConfig(q=2, n_min=1, n_max=4, workers=4, experiment="cfe"))
-        assert self.StubPool.sizes == [4]
+    @pytest.mark.parametrize("workers", [4, 64])
+    def test_no_runner_opens_a_pool(self, no_processes, workers):
+        for runner, cfg in self.RUNS:
+            rep = runner(RunConfig(workers=workers, **cfg))
+            assert to_csv(rep) == to_csv(runner(RunConfig(workers=1, **cfg)))
 
-    def test_single_worker_spawns_nothing(self, pool):
-        run_count(RunConfig(q=2, n_min=1, n_max=4, workers=1))
-        assert self.StubPool.sizes == []
+    def test_single_worker_spawns_nothing(self, no_processes):
+        for runner, cfg in self.RUNS:
+            runner(RunConfig(workers=1, **cfg))
 
 
 class TestSerialization:
