@@ -293,6 +293,26 @@ def test_dp_tallies_match_walk(kind):
                         (q, gen, m, mp, n_lo)
 
 
+GF2_IDEALS = ("1", "Y", "Y+1", "Y^2+Y+1", "Y^3+Y+1")
+
+
+@pytest.mark.parametrize("kind", ["count", "joint", "cfe"])
+def test_gf2_block_tallies_match_generic(kind):
+    # GF(2) at every ideal up to degree 3; m = 3 at level 1 reads digits of
+    # s and r below Y^0
+    field = get_field(2)
+    n_max = 5
+    for gen in GF2_IDEALS:
+        g = Ideal(poly_from_text(field, gen)).gen
+        g = None if g.is_one() else g
+        for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
+            walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+            for n_lo in (1, 2):
+                dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
+                assert dp == {n: t for n, t in walk.items() if n >= n_lo}, \
+                    (gen, m, mp, n_lo)
+
+
 @st.composite
 def dp_configs(draw):
     """A field, a monic generator of degree 0-3, a kind, cell depths and a
