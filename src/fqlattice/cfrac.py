@@ -182,26 +182,22 @@ def shortest_solution(a: Poly, b: Poly) -> LatticeVec:
     return LatticeVec(x, y)
 
 
-def brute_force_shortest(a: Poly, b: Poly, degree_bound: Optional[int] = None) -> LatticeVec:
+def brute_force_shortest(a: Poly, b: Poly) -> LatticeVec:
     """Oracle: exhaustive scan for the shortest solution of a*x + b*y = 1.
 
-    Scans every y with deg y < degree_bound and solves for x.  Any solution
-    avoiding this range has norm >= q^bound and cannot be minimal, so the scan
-    is complete for bound >= max(deg a, deg b) >= 1.  Raises if the pair has
-    no solutions or if the minimum is not unique.
+    Scans every y with deg y < B = max(deg a, deg b) and solves for x.  Any
+    solution avoiding this range has norm >= q^B and cannot be minimal, so the
+    scan is complete when B >= 1.  Raises if the pair has no solutions or if
+    the minimum is not unique.
     """
     field = a.field
     B = max((a.degree if not a.is_zero() else -1),
             (b.degree if not b.is_zero() else -1))
     if B < 1:
         raise ValueError("constant pairs have no unique shortest solution")
-    if degree_bound is None:
-        degree_bound = B
-    if degree_bound < B:
-        raise ValueError("degree bound below max degree of the pair")
     one = field.one
     solutions: List[Tuple[int, LatticeVec]] = []
-    for y in polys_up_to_degree(field, degree_bound - 1):
+    for y in polys_up_to_degree(field, B - 1):
         r = one - b * y
         if a.is_zero():
             if r.is_zero():

@@ -65,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump", action="store_true",
                        help="materialize point lists for levels n <= 4")
         p.add_argument("--guard", type=int, default=10 ** 8,
-                       help="refuse runs whose work estimate q^(2*n_max+2), "
-                            "or whose report table rows, exceed this bound")
+                       help="refuse runs whose work estimate "
+                            "q^(2*n_max+2+deg gen), or whose report table "
+                            "rows, exceed this bound")
         p.add_argument("--cell-floor", type=int, default=8,
                        help="warn when expected counts per cell drop below "
                             "this floor")
@@ -74,12 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
     return RunConfig(
         q=args.q, modulus=_parse_modulus(args.modulus),
         n_min=args.n_min, n_max=args.n_max,
         depth_m=args.depth_m, depth_mp=args.depth_mp,
         ideal=args.ideal, experiment=args.experiment,
-        workers=args.workers, fmt=args.fmt, out=args.out,
+        fmt=args.fmt, out=args.out,
         dump=args.dump, guard=args.guard, cell_floor=args.cell_floor)
 
 
@@ -96,19 +99,16 @@ def _assertion_failures(report: Report) -> int:
 def _write_output(report: Report) -> None:
     cfg = report.config
     text = render_report(report)
+    points = (to_points_csv(report)
+              if report.points is not None and cfg.fmt == "csv" else None)
     if cfg.out is None:
-        sys.stdout.write(text)
-        if report.points is not None and cfg.fmt == "csv":
-            sys.stdout.write("# points\n")
-            sys.stdout.write(to_points_csv(report))
+        sys.stdout.write(text if points is None else text + "# points\n" + points)
         return
     out = Path(cfg.out)
-    out.write_text(text)
-    print(f"wrote {out}", file=sys.stderr)
-    if report.points is not None and cfg.fmt == "csv":
-        pts = out.with_name(out.stem + ".points.csv")
-        pts.write_text(to_points_csv(report))
-        print(f"wrote {pts}", file=sys.stderr)
+    for path, body in ((out, text), (out.with_name(out.stem + ".points.csv"), points)):
+        if body is not None:
+            path.write_text(body)
+            print(f"wrote {path}", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class _Extended:
@@ -355,9 +355,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -443,13 +440,6 @@ class Poly:
         if self.coeffs[-1] == 1:
             return self
         return self.scale(self.field.inv_t[self.coeffs[-1]])
-
-    def evaluate(self, x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add_t[f.mul_t[acc][x]][c]
-        return acc
 
     # ordering and identity ---------------------------------------------------
 
@@ -649,13 +639,6 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def poly_to_text(p: Poly) -> str:
-    """Comma-joined coefficient codes, constant first, each in base-p digits."""
-    if p.is_zero():
-        return "0"
-    return ",".join(p.field.element_text(c) for c in p.coeffs)
-
-
 def pretty_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -683,8 +666,9 @@ def pretty_poly(p: Poly) -> str:
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\[\d+\]|\d+)\*?)?(Y)(?:\^(\d+))?|(\[\d+\]|\d+))\s*")
 
 
-def poly_from_text(field: Fq, s: str) -> Poly:
-    """Parse the comma form ("1,0,1") or the pretty form ("Y^2+2*Y+1").
+def _text_terms(field: Fq, s: str) -> Dict[int, int]:
+    """Exponent -> coefficient of the comma form ("1,0,1") or the pretty
+    form ("Y^2+2*Y+1"), like terms summed.
 
     Anything else is rejected with the position it stopped at: text such as
     "Y2" or "Y^2+" is never read as something it does not say.
@@ -693,8 +677,8 @@ def poly_from_text(field: Fq, s: str) -> Poly:
     if not s:
         raise ValueError("empty polynomial text")
     if "," in s:
-        return field.poly([field.element_from_text(t.strip()) for t in s.split(",")])
-    coeffs: dict = {}
+        return {k: field.element_from_text(t.strip()) for k, t in enumerate(s.split(","))}
+    coeffs: Dict[int, int] = {}
     pos = 0
     while pos < len(s):
         term = _TERM.match(s, pos)
@@ -712,7 +696,16 @@ def poly_from_text(field: Fq, s: str) -> Poly:
             c = field.neg_t[c]
         coeffs[k] = field.add(coeffs.get(k, 0), c)
         pos = term.end()
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return field.poly(out)
+    return coeffs
+
+
+def text_degree(field: Fq, s: str):
+    """Degree of poly_from_text(field, s), read without building it: a
+    text such as "Y^99999999" costs nothing."""
+    return max((k for k, c in _text_terms(field, s).items() if c), default=NEG_INF)
+
+
+def poly_from_text(field: Fq, s: str) -> Poly:
+    """The polynomial of a text in either form that _text_terms reads."""
+    coeffs = _text_terms(field, s)
+    return field.poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])

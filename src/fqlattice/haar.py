@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .field import Fq, Ideal, Poly, poly_gcd, polys_up_to_degree
-from .laurent import PlaneVec, RationalFn, pi_pow, rat
+from .laurent import RationalFn, pi_pow, rat
 
 
 def zeta_minus1(q: int) -> Fraction:
@@ -225,15 +225,6 @@ class Mat2:
 
     def det(self) -> RationalFn:
         return self.a * self.d - self.b * self.c
-
-    def col1(self) -> PlaneVec:
-        return PlaneVec(self.a, self.c)
-
-    def col2(self) -> PlaneVec:
-        return PlaneVec(self.b, self.d)
-
-    def apply(self, v: PlaneVec) -> PlaneVec:
-        return PlaneVec(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
 
     def is_integral(self) -> bool:
         return all(f.is_zero() or f.valuation() >= 0

@@ -29,9 +29,9 @@ and 0 for count.  The gap is capped at w + 1, not w: a gap of exactly
 mp - 1 = w still puts a nonzero digit at depth mp - 1, so only gaps beyond
 w behave alike.  `_tree_block`, the walk of `lattice.euclid_tree` node by
 node, is the DP's oracle in the tests.  Level 0 keeps the vector-by-vector
-path.  Everything runs in one process; `workers` has no effect.  Serialized
-reports echo only the result-relevant configuration (worker count, output
-path, and wall time stay out of the files).
+path.  Everything runs in one process.  Serialized reports echo only the
+result-relevant configuration (output path and wall time stay out of the
+files).
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
                     convergents, shortest_solution)
-from .field import (Fq, Ideal, Poly, get_field, is_coprime, poly_from_text,
-                    polys_of_degree, polys_up_to_degree)
+from .field import (NEG_INF, Fq, Ideal, Poly, get_field, is_coprime,
+                    poly_from_text, polys_of_degree, polys_up_to_degree,
+                    text_degree)
 from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    expected_box_count, hecke_index, hecke_index_bruteforce,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
@@ -93,7 +94,6 @@ class RunConfig:
     depth_mp: int = 2
     ideal: str = "1"
     experiment: str = "count"
-    workers: int = 1
     fmt: str = "csv"
     out: Optional[str] = None
     dump: bool = False
@@ -101,25 +101,45 @@ class RunConfig:
     cell_floor: int = 8
 
 
+def _work_exponent(cfg: RunConfig, field: Fq) -> int:
+    """e in the work estimate q^e = q^(2 n_max + 2 + deg gen): the Euclid
+    tree's nodes up to level n_max, times the q^deg(gen) residues that the
+    transfer DP lists.  The degree is read off the text, not built."""
+    deg = text_degree(field, cfg.ideal)
+    return 2 * cfg.n_max + 2 + (0 if deg is NEG_INF else deg)
+
+
 def work_estimate(cfg: RunConfig) -> int:
-    return cfg.q ** (2 * cfg.n_max + 2)
+    return cfg.q ** _work_exponent(cfg, get_field(cfg.q, cfg.modulus))
 
 
-def _report_rows(cfg: RunConfig) -> int:
-    """Rows of the cell table of `joint`, `cfe` or `bijection`: one per level
-    and cell, from the cell counts (q^2 - 1) q^(2m - 2) of all direction
-    cells, (q - 1) q^(2m - 1) of the sharp ones, and q^(mp - 1) of the
-    solution cells.  Other experiments have no cell table."""
-    q, levels = cfg.q, cfg.n_max - cfg.n_min + 1
-    if cfg.experiment == "cfe":
-        directions = 1
-    elif cfg.experiment == "joint":
-        directions = (q * q - 1) * q ** (2 * cfg.depth_m - 2)
-    elif cfg.experiment == "bijection":
-        directions = (q - 1) * q ** (2 * cfg.depth_m - 1)
-    else:
-        return 0
-    return levels * directions * q ** (cfg.depth_mp - 1)
+def _guard_exponent(q: int, guard: int) -> int:
+    """The largest e with q^e <= guard, or -1.  The guards compare
+    exponents against it, so no power beyond the guard is ever built."""
+    e, power = -1, 1
+    while power <= guard:
+        e, power = e + 1, power * q
+    return e
+
+
+def _report_rows(cfg: RunConfig) -> Tuple[int, int]:
+    """(c, e) for the c q^e rows of the cell table of `joint`, `cfe` or
+    `bijection`: one per level and cell, from the cell counts
+    (q^2 - 1) q^(2m - 2) of all direction cells, (q - 1) q^(2m - 1) of the
+    sharp ones, and q^(mp - 1) of the solution cells.  Other experiments
+    have no cell table: c = 0."""
+    q, m = cfg.q, cfg.depth_m
+    c, e = {"cfe": (1, 0), "joint": (q * q - 1, 2 * m - 2),
+            "bijection": (q - 1, 2 * m - 1)}.get(cfg.experiment, (0, 0))
+    return (cfg.n_max - cfg.n_min + 1) * c, e + cfg.depth_mp - 1
+
+
+def _check_work(cfg: RunConfig, e: int, top: int, relation: str = "=") -> None:
+    if e > top:
+        digits = f" = {cfg.q ** e}" if e * math.log10(cfg.q) < 40 else ""
+        raise ConfigError(
+            f"work estimate q^(2*n_max+2+deg gen) {relation} {cfg.q}^{e}{digits} "
+            f"exceeds guard {cfg.guard}; raise --guard to proceed")
 
 
 def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
@@ -127,32 +147,33 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
         raise ConfigError(f"empty or negative level range [{cfg.n_min}, {cfg.n_max}]")
     if cfg.depth_m < 1 or cfg.depth_mp < 1:
         raise ConfigError("cylinder depths must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
     out_dir = None if cfg.out is None else Path(cfg.out).parent
     if out_dir is not None and not out_dir.is_dir():
         raise ConfigError(f"output directory {str(out_dir)!r} does not exist")
-    est = work_estimate(cfg)
-    if est > cfg.guard:
-        raise ConfigError(
-            f"work estimate q^(2*n_max+2) = {est} exceeds guard {cfg.guard}; "
-            "raise --guard to proceed")
-    rows = _report_rows(cfg)
-    if rows > cfg.guard:
-        raise ConfigError(
-            f"the {cfg.experiment} report would hold {rows} rows at depths "
-            f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
-            "raise --guard to proceed")
+    if cfg.q < 2:
+        raise ConfigError("q must be a prime power >= 2")
+    top = _guard_exponent(cfg.q, cfg.guard)
+    # deg gen >= 0: a bound that needs no field, whose tables take q^2 entries
+    _check_work(cfg, 2 * cfg.n_max + 2, top, ">=")
     try:
         field = get_field(cfg.q, cfg.modulus)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     try:
-        gen = poly_from_text(field, cfg.ideal)
+        work = _work_exponent(cfg, field)
     except ValueError as e:
         raise ConfigError(f"bad ideal generator {cfg.ideal!r}: {e}") from e
+    _check_work(cfg, work, top)
+    c, e = _report_rows(cfg)
+    if c and (e > top or c * cfg.q ** e > cfg.guard):
+        rows = f"{c} x {cfg.q}^{e}" if e > top else c * cfg.q ** e
+        raise ConfigError(
+            f"the {cfg.experiment} report would hold {rows} rows at depths "
+            f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
+            "raise --guard to proceed")
+    gen = poly_from_text(field, cfg.ideal)
     if gen.is_zero():
         raise ConfigError("ideal generator must be nonzero")
     return field, Ideal(gen)
@@ -196,7 +217,7 @@ def build_id() -> str:
 
 
 def _config_echo(cfg: RunConfig) -> Dict[str, object]:
-    # workers and output location do not influence any reported value
+    # the output location does not influence any reported value
     return {
         "q": cfg.q,
         "modulus": list(cfg.modulus) if cfg.modulus else None,
@@ -280,11 +301,8 @@ def to_points_csv(report: Report) -> str:
     return _csv_table(POINT_COLUMNS, report.points)
 
 
-def render_report(report: Report, fmt: Optional[str] = None) -> str:
-    fmt = fmt or report.config.fmt
-    if fmt == "json":
-        return to_json(report)
-    return to_csv(report)
+def render_report(report: Report) -> str:
+    return to_json(report) if report.config.fmt == "json" else to_csv(report)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +659,13 @@ def run_count(cfg: RunConfig) -> Report:
                   points, time.perf_counter() - t0)
 
 
-def run_joint(cfg: RunConfig,
-              test_function: Optional[Dict[Tuple[str, str], Fraction]] = None
-              ) -> Report:
+def run_joint(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
     m, mp = cfg.depth_m, cfg.depth_mp
     warnings: List[str] = []
-    cell_spec = BoxSpec(cfg.n_min, Fraction(1, cfg.q ** (2 * m)),
-                        Fraction(1, cfg.q ** mp))
-    _depth_warning(cfg, expected_box_count(I, cell_spec), warnings)
+    masses = (Fraction(1, cfg.q ** (2 * m)), Fraction(1, cfg.q ** mp))
+    _depth_warning(cfg, expected_box_count(I, BoxSpec(cfg.n_min, *masses)), warnings)
     rows: List[dict] = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     sups: List[Fraction] = []
@@ -663,8 +678,7 @@ def run_joint(cfg: RunConfig,
             hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
         else:
             hist, exceptional = _bin_orbits(field, nodes[n], theta_ids, dp_ids), 0
-        expected = expected_box_count(
-            I, BoxSpec(n, Fraction(1, cfg.q ** (2 * m)), Fraction(1, cfg.q ** mp)))
+        expected = expected_box_count(I, BoxSpec(n, *masses))
         total, sup, mean = _cell_table(n, ("direction_cell", "solution_cell"),
                                        cells, hist, expected, rows)
         if n >= 1:
@@ -673,14 +687,6 @@ def run_joint(cfg: RunConfig,
         summary[f"exceptional[n={n}]"] = exceptional
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean
-        if test_function is not None:
-            emp = sum((Fraction(val) * hist.get(key, 0)
-                       for key, val in test_function.items()), Fraction(0))
-            exp = sum((Fraction(val) * expected
-                       for val in test_function.values()), Fraction(0))
-            summary[f"pairing_empirical[n={n}]"] = emp
-            summary[f"pairing_expected[n={n}]"] = exp
-            summary[f"pairing_ratio[n={n}]"] = emp / exp if exp else None
     summary["trend"] = _trend_status(sups)
     summary["first_sup"] = sups[0] if sups else None
     summary["final_sup"] = sups[-1] if sups else None

@@ -216,9 +216,7 @@ def enumerate_primitive(field: Fq, filt: EnumFilter) -> Iterator[LatticeVec]:
         yield v
 
 
-def euclid_tree(field: Fq, n_max: int,
-                first: Optional[Sequence[Poly]] = None
-                ) -> Iterator[Tuple[Poly, Poly, Poly, int]]:
+def euclid_tree(field: Fq, n_max: int) -> Iterator[Tuple[Poly, Poly, Poly, int]]:
     """Every coprime (r, s) with s monic, 1 <= deg s <= n_max, r != 0 and
     deg r < deg s, paired with r^-1 mod s and lead(Q_k); no gcd is taken.
 
@@ -228,17 +226,13 @@ def euclid_tree(field: Fq, n_max: int,
     P_k Q_{k-1} - P_{k-1} Q_k = (-1)^(k+1) makes (-1)^(k+1) lead(Q_k) Q_{k-1}
     the inverse of r = P_k / lead(Q_k) modulo s = Q_k / lead(Q_k), already of
     degree below deg s.  The same identity turns the penultimate ratio
-    (-1)^k Q_{k-1} / Q_k into -lead(Q_k)^-2 (r^-1 mod s) / s.  `first`
-    restricts the walk to the subtrees under those first partial quotients
-    a_1 (all of degree >= 1 by default).
+    (-1)^k Q_{k-1} / Q_k into -lead(Q_k)^-2 (r^-1 mod s) / s.
     """
     quotients = [()] + [tuple(polys_of_degree(field, d)) for d in range(1, n_max + 1)]
-    if first is None:
-        first = [a for qs in quotients for a in qs]
     zero, one = field.zero, field.one
     mul_t, inv_t, minus_one = field.mul_t, field.inv_t, field.neg_t[1]
     # (P_{k-1}, Q_{k-1}, P_k, Q_k, (-1)^(k+1)) after the first quotient, k = 1
-    stack = [(zero, one, one, a, 1) for a in reversed(first)]
+    stack = [(zero, one, one, a, 1) for qs in reversed(quotients) for a in reversed(qs)]
     while stack:
         pp, qp, p, q, sign = stack.pop()
         lead = q.coeffs[-1]

@@ -15,7 +15,7 @@ just "drop the polynomial part".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .field import Fq, NEG_INF, POS_INF, Poly, poly_gcd
 
@@ -197,11 +197,6 @@ class LaurentWindow:
         start = min(lo)
         return self.digits(start, depth) == other.digits(start, depth)
 
-    def to_text(self) -> str:
-        if not self.items:
-            return "0"
-        return ",".join(f"{n}:{self.field.element_text(c)}" for n, c in self.items)
-
 
 def window_from_digits(field: Fq, lo: int, digits: Tuple[int, ...]) -> LaurentWindow:
     """Window whose coefficients at lo..lo+len(digits)-1 are as given, 0 elsewhere."""
@@ -249,18 +244,6 @@ def is_sharp(v: PlaneVec) -> bool:
 
 def z_of(v: PlaneVec) -> RationalFn:
     return v.x if is_sharp(v) else v.y
-
-
-def z_prime_of(v: PlaneVec) -> RationalFn:
-    return v.y if is_sharp(v) else v.x
-
-
-def perp(v: PlaneVec) -> PlaneVec:
-    return PlaneVec(v.y, -v.x)
-
-
-def perp_lattice(v: LatticeVec) -> LatticeVec:
-    return LatticeVec(v.b, -v.a)
 
 
 def direction(v: PlaneVec, prec: int) -> Tuple[LaurentWindow, LaurentWindow]:

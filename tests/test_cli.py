@@ -43,6 +43,24 @@ class TestExitCodes:
         assert f"bad ideal generator {text!r}" in err
         assert "invalid literal" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "9", "--n-max", "1000000"],
+        ["count", "--q", "9", "--n-max", "100000000"],
+        ["joint", "--n-max", "1", "--depth-m", "100000000"],
+        ["count", "--q", "2", "--n-max", "1", "--ideal", "Y^99999999"],
+        ["count", "--q", "2", "--n-max", "3", "--ideal", "Y^30"],
+    ])
+    def test_guard_refuses_huge_runs_at_once(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error") and len(err) < 300
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_must_be_positive(self, capsys, workers):
+        code, out, err = run(["joint", "--workers", workers], capsys)
+        assert code == 2 and out == ""
+        assert err == "configuration error: workers must be >= 1\n"
+
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err

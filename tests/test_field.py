@@ -5,7 +5,7 @@ import pytest
 from fqlattice.field import (
     Fq, Poly, Ideal, NEG_INF, POS_INF, get_field, poly_gcd, poly_xgcd,
     is_coprime, polys_of_degree, polys_up_to_degree, irreducibles_of_degree,
-    is_irreducible, factor, poly_to_text, poly_from_text, pretty_poly,
+    is_irreducible, factor, poly_from_text, pretty_poly, text_degree,
 )
 
 
@@ -156,11 +156,6 @@ class TestPolyArithmetic:
         p = F.poly((1, 2))
         assert p.monic().coeffs == (2, 1)
 
-    def test_evaluate(self):
-        F = Fq(3)
-        p = F.poly((1, 0, 1))  # Y^2 + 1
-        assert [p.evaluate(x) for x in range(3)] == [1, 2, 2]
-
     def test_shift_scale(self):
         F = Fq(3)
         p = F.poly((1, 2))
@@ -306,20 +301,31 @@ class TestIdeal:
 
 
 class TestTextForms:
+    def test_text_degree_builds_no_coefficients(self):
+        F = Fq(3)
+        assert text_degree(F, "Y^99999999+1") == 99999999
+        assert text_degree(F, "Y^2-Y^2+2*Y") == 1
+        assert text_degree(F, "1,0,2") == 2
+        assert text_degree(F, "1,0,0") == 0
+        assert text_degree(F, "0") is NEG_INF
+        for text in ("Y^2+", "3"):
+            with pytest.raises(ValueError):
+                text_degree(F, text)
+
     def test_comma_roundtrip(self):
         F = Fq(2)
         p = F.poly((1, 1, 1))
-        assert poly_to_text(p) == "1,1,1"
         assert poly_from_text(F, "1,1,1") == p
+        assert poly_from_text(F, pretty_poly(p)) == p
         assert poly_from_text(F, "0") == F.zero
-        assert poly_to_text(F.zero) == "0"
+        assert poly_from_text(F, "0,0") == F.zero
 
     def test_extension_field_digits(self):
         F = Fq(4)
         p = F.poly((3, 0, 2))  # (t+1) + t*Y^2
-        assert poly_to_text(p) == "11,0,10"
         assert poly_from_text(F, "11,0,10") == p
         assert pretty_poly(p) == "[10]*Y^2+[11]"
+        assert poly_from_text(F, pretty_poly(p)) == p
 
     def test_pretty_forms(self):
         F = Fq(3)

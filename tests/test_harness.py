@@ -5,28 +5,66 @@ import json
 import re
 import shutil
 import subprocess
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import hecke_index
-from fqlattice.harness import (ConfigError, RunConfig, build_id, run_bijection,
-                               run_cfe, run_count, run_joint, run_verify,
-                               to_csv, to_json, to_points_csv, validate_config,
-                               work_estimate)
-from fqlattice.lattice import EnumFilter, enumerate_primitive, sphere_cells
+from fqlattice.harness import (ConfigError, RunConfig, build_id, render_report,
+                               run_bijection, run_cfe, run_count, run_joint,
+                               run_verify, to_csv, to_json, to_points_csv,
+                               validate_config, work_estimate)
+from fqlattice.lattice import (EnumFilter, LatticeVec, enumerate_primitive,
+                               primitive_vectors, sphere_cells)
 
 
 F2 = get_field(2)
 F3 = get_field(3)
 
 
+def _argv(cfg, *extra):
+    """The command line of a dict of RunConfig fields."""
+    kw = dict(cfg)
+    argv = [kw.pop("experiment", "count")]
+    for k, v in kw.items():
+        argv += [f"--{k.replace('_', '-')}", str(v)]
+    return argv + list(extra)
+
+
 class TestConfig:
     def test_work_estimate(self):
         assert work_estimate(RunConfig(q=2, n_max=3)) == 2 ** 8
         assert work_estimate(RunConfig(q=3, n_max=7)) == 3 ** 16
+
+    def test_work_estimate_counts_the_ideal_degree(self):
+        # the DP lists all q^deg(gen) residues
+        assert work_estimate(RunConfig(q=2, n_max=1, ideal="Y^20")) == 2 ** 24
+        assert work_estimate(RunConfig(q=3, n_max=2, ideal="Y^2-Y^2+Y")) == 3 ** 7
+        cfg = dict(q=2, n_max=3, ideal="Y^18")
+        validate_config(RunConfig(guard=2 ** 26, **cfg))
+        with pytest.raises(ConfigError, match=r"2\^26 = 67108864 exceeds guard 67108863"):
+            validate_config(RunConfig(guard=2 ** 26 - 1, **cfg))
+
+    @pytest.mark.parametrize("cfg,estimate", [
+        (dict(q=9, n_max=10 ** 6), r">= 9\^2000002 exceeds"),
+        (dict(q=9, n_max=10 ** 8), r">= 9\^200000002 exceeds"),
+        (dict(q=10007, n_max=1), r">= 10007\^4 = 10028029413722401 exceeds"),
+        (dict(n_max=1, depth_m=10 ** 8, experiment="joint"), r"hold 3 x 2\^199999999 rows"),
+        (dict(n_max=1, ideal="Y^99999999"), r"= 2\^100000003 exceeds"),
+        (dict(n_max=3, ideal="Y^30"), r"= 2\^38 = 274877906944 exceeds"),
+    ], ids=["q9-n1e6", "q9-n1e8", "q10007", "depth-m-1e8", "ideal-Y^99999999", "ideal-Y^30"])
+    def test_guard_refuses_in_exponent_form(self, cfg, estimate):
+        # no power beyond the guard and no coefficient list of the ideal is
+        # built: each refusal is immediate and its message short
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=estimate) as refusal:
+            validate_config(RunConfig(**cfg))
+        assert time.perf_counter() - t0 < 1
+        assert len(str(refusal.value)) < 300
 
     def test_guard_refusal_names_estimate(self):
         cfg = RunConfig(q=3, n_max=9, guard=10 ** 6)
@@ -38,11 +76,13 @@ class TestConfig:
         {"n_min": -1},
         {"depth_m": 0},
         {"depth_mp": 0},
-        {"workers": 0},
+        {"ideal": "Y^99999999"},
         {"fmt": "xml"},
         {"ideal": "0"},
         {"ideal": "Z^2"},
         {"q": 6},
+        {"q": 1},
+        {"q": 0, "n_max": 100},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(ConfigError):
@@ -142,22 +182,13 @@ class TestJoint:
         assert any("depth warning" in w for w in rep.warnings)
 
     def test_indicator_test_function_recovers_marginal(self):
-        cfg = RunConfig(q=2, n_min=2, n_max=2, experiment="joint")
-        cells = [(r["direction_cell"], r["solution_cell"])
-                 for r in run_joint(cfg).rows]
-        table = {key: 1 for key in cells}
-        rep = run_joint(cfg, test_function=table)
-        assert rep.summary["pairing_empirical[n=2]"] == 24
-        assert rep.summary["pairing_expected[n=2]"] == 24
-        assert rep.summary["pairing_ratio[n=2]"] == 1
-
-    def test_single_cell_test_function(self):
-        cfg = RunConfig(q=2, n_min=2, n_max=2, ideal="Y", experiment="joint")
-        base = run_joint(cfg)
-        key = (base.rows[0]["direction_cell"], base.rows[0]["solution_cell"])
-        rep = run_joint(cfg, test_function={key: Fraction(3, 2)})
-        expect_emp = Fraction(3, 2) * base.rows[0]["empirical_count"]
-        assert rep.summary["pairing_empirical[n=2]"] == expect_emp
+        # pairing a test function with the histogram is a weighted sum of
+        # the report's rows; the indicator of every cell gives the level
+        # total on both the empirical and the expected side
+        rep = run_joint(RunConfig(q=2, n_min=2, n_max=2, experiment="joint"))
+        assert sum(r["empirical_count"] for r in rep.rows) == 24
+        assert sum(r["expected"] for r in rep.rows) == 24
+        assert rep.summary["total[n=2]"] == 24
 
     def test_perp_cell_system_preserves_totals(self):
         # the quarter-turn map is a norm-preserving bijection on primitives,
@@ -166,9 +197,7 @@ class TestJoint:
         rep = run_joint(cfg)
         total = rep.summary["total[n=2]"]
         field = get_field(2)
-        from fqlattice.lattice import primitive_vectors
-        from fqlattice.laurent import perp_lattice
-        perped = [perp_lattice(v) for v in primitive_vectors(field, 2)]
+        perped = [LatticeVec(v.b, -v.a) for v in primitive_vectors(field, 2)]
         assert len(perped) == total
         assert all(max(p.a.degree if not p.a.is_zero() else -1,
                        p.b.degree if not p.b.is_zero() else -1) == 2
@@ -275,11 +304,13 @@ class TestDeterminism:
         (run_joint, dict(q=2, n_min=2, n_max=3, experiment="joint")),
         (run_cfe, dict(q=3, n_min=1, n_max=2, experiment="cfe")),
     ])
-    def test_worker_count_invisible_in_bytes(self, runner, cfg):
-        a = runner(RunConfig(workers=1, **cfg))
-        b = runner(RunConfig(workers=3, **cfg))
-        assert to_csv(a) == to_csv(b)
-        assert to_json(a) == to_json(b)
+    def test_worker_count_invisible_in_bytes(self, runner, cfg, capsys):
+        # the command line accepts --workers, and no report byte depends on it
+        for fmt in ("csv", "json"):
+            want = render_report(runner(RunConfig(fmt=fmt, **cfg)))
+            for workers in ("1", "3"):
+                assert main(_argv(cfg, "--format", fmt, "--workers", workers)) == 0
+                assert capsys.readouterr().out == want
 
 
 class TestWorkerCap:
@@ -299,14 +330,14 @@ class TestWorkerCap:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
     @pytest.mark.parametrize("workers", [4, 64])
-    def test_no_runner_opens_a_pool(self, no_processes, workers):
+    def test_no_runner_opens_a_pool(self, no_processes, workers, capsys):
         for runner, cfg in self.RUNS:
-            rep = runner(RunConfig(workers=workers, **cfg))
-            assert to_csv(rep) == to_csv(runner(RunConfig(workers=1, **cfg)))
+            assert main(_argv(cfg, "--workers", str(workers))) == 0
+            assert capsys.readouterr().out == to_csv(runner(RunConfig(**cfg)))
 
     def test_single_worker_spawns_nothing(self, no_processes):
         for runner, cfg in self.RUNS:
-            runner(RunConfig(workers=1, **cfg))
+            runner(RunConfig(**cfg))
 
 
 class TestSerialization:

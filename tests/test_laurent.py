@@ -5,8 +5,8 @@ import pytest
 from fqlattice.field import Fq, NEG_INF, POS_INF, polys_up_to_degree
 from fqlattice.laurent import (
     RationalFn, LatticeVec, PlaneVec, as_plane, direction, in_ball,
-    lattice_direction_digits, perp, perp_lattice, pi_pow, rat, reduce_mod_R,
-    vec_norm_exp, window_from_digits, is_sharp, z_of, z_prime_of,
+    lattice_direction_digits, pi_pow, rat, reduce_mod_R,
+    vec_norm_exp, window_from_digits, is_sharp, z_of,
 )
 
 F2 = Fq(2)
@@ -126,8 +126,8 @@ class TestExpansion:
 
     def test_window_text(self):
         f = R(F2, (1,), (1, 0, 1))
-        assert f.expand(5).to_text() == "2:1,4:1"
-        assert R(F2, (0,)).expand(3).to_text() == "0"
+        assert f.expand(5).items == ((2, 1), (4, 1))
+        assert R(F2, (0,)).expand(3).items == ()
 
     def test_coeff_out_of_window_raises(self):
         w = R(F2, (1,), (0, 1)).expand(3)
@@ -168,7 +168,6 @@ class TestPlaneVectors:
         v = PlaneVec(R(F2, (0, 0, 1)), R(F2, (1, 0, 1)))
         assert is_sharp(v)
         assert z_of(v) == v.x
-        assert z_prime_of(v) == v.y
 
     def test_z_split_strict(self):
         v = PlaneVec(R(F2, (1,)), R(F2, (1, 1)))
@@ -184,15 +183,6 @@ class TestPlaneVectors:
         assert is_sharp(w)
         with pytest.raises(ValueError):
             vec_norm_exp(PlaneVec(R(F2, (0,)), R(F2, (0,))))
-
-    def test_perp(self):
-        v = PlaneVec(R(F3, (0, 1)), R(F3, (1, 2)))
-        p = perp(v)
-        assert v.x * p.x + v.y * p.y == R(F3, (0,))
-        assert vec_norm_exp(p) == vec_norm_exp(v)
-        lv = LatticeVec(F3.poly((0, 1)), F3.poly((1, 2)))
-        lp = perp_lattice(lv)
-        assert (lv.a * lp.a + lv.b * lp.b).is_zero()
 
     def test_direction_has_unit_norm_and_scales_away(self):
         v = PlaneVec(R(F2, (0, 0, 1)), R(F2, (1, 0, 1)))
