@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .field import echo_text
 from .harness import (ConfigError, Report, RunConfig, RUNNERS, render_report,
                       to_points_csv, work_estimate)
 
@@ -25,11 +26,42 @@ def _parse_modulus(text: Optional[str]):
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError as e:
-        raise ConfigError(f"bad modulus {text!r}: expected comma-separated "
+        raise ConfigError(f"bad modulus {echo_text(text)}: expected comma-separated "
                           "coefficient digits, constant first") from e
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # options shared by every subcommand; config_from_args fills the level range
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=int, default=2,
+                        help="field size, a prime power (default 2)")
+    common.add_argument("--modulus", default=None,
+                        help="comma-separated modulus coefficients for "
+                             "non-prime q, constant term first")
+    common.add_argument("--n-min", type=int, default=None)
+    common.add_argument("--n-max", type=int, default=None)
+    common.add_argument("--depth-m", type=int, default=1,
+                        help="direction cylinder depth (default 1)")
+    common.add_argument("--depth-mp", type=int, default=2,
+                        help="solution cylinder depth (default 2)")
+    common.add_argument("--ideal", default="1",
+                        help="ideal generator as polynomial text, e.g. 'Y' or "
+                             "'Y^2+Y+1' (default 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="accepted (must be >= 1) but has no effect: "
+                             "count, joint and cfe run in one process")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                        default="csv")
+    common.add_argument("--out", default=None, help="output path (default stdout)")
+    common.add_argument("--dump", action="store_true",
+                        help="materialize point lists for levels n <= 4")
+    common.add_argument("--guard", type=int, default=10 ** 8,
+                        help="refuse runs whose work estimate "
+                             "q^(2*n_max+2+deg gen), or whose report table "
+                             "rows, exceed this bound")
+    common.add_argument("--cell-floor", type=int, default=8,
+                        help="warn when expected counts per cell drop below "
+                             "this floor")
     parser = argparse.ArgumentParser(
         prog="fqlattice",
         description="Exact experiments on primitive lattice points over "
@@ -41,45 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
             ("cfe", "continued-fraction penultimate-denominator statistics"),
             ("verify", "run every oracle comparison and report a table"),
             ("bijection", "two-sided box enumeration comparison")):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--q", type=int, default=2,
-                       help="field size, a prime power (default 2)")
-        p.add_argument("--modulus", default=None,
-                       help="comma-separated modulus coefficients for "
-                            "non-prime q, constant term first")
-        p.add_argument("--n-min", type=int, default=1 if name != "bijection" else 0)
-        p.add_argument("--n-max", type=int, default=3 if name != "bijection" else 2)
-        p.add_argument("--depth-m", type=int, default=1,
-                       help="direction cylinder depth (default 1)")
-        p.add_argument("--depth-mp", type=int, default=2,
-                       help="solution cylinder depth (default 2)")
-        p.add_argument("--ideal", default="1",
-                       help="ideal generator as polynomial text, e.g. 'Y' or "
-                            "'Y^2+Y+1' (default 1)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted (must be >= 1) but has no effect: "
-                            "count, joint and cfe run in one process")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--dump", action="store_true",
-                       help="materialize point lists for levels n <= 4")
-        p.add_argument("--guard", type=int, default=10 ** 8,
-                       help="refuse runs whose work estimate "
-                            "q^(2*n_max+2+deg gen), or whose report table "
-                            "rows, exceed this bound")
-        p.add_argument("--cell-floor", type=int, default=8,
-                       help="warn when expected counts per cell drop below "
-                            "this floor")
+        sub.add_parser(name, help=blurb, parents=[common])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
+    lo = 0 if args.experiment == "bijection" else 1
     return RunConfig(
         q=args.q, modulus=_parse_modulus(args.modulus),
-        n_min=args.n_min, n_max=args.n_max,
+        n_min=lo if args.n_min is None else args.n_min,
+        n_max=lo + 2 if args.n_max is None else args.n_max,
         depth_m=args.depth_m, depth_mp=args.depth_mp,
         ideal=args.ideal, experiment=args.experiment,
         fmt=args.fmt, out=args.out,

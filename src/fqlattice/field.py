@@ -248,10 +248,10 @@ class Fq:
     def element_from_text(self, s: str) -> int:
         """Inverse of element_text: base-p digits, value below q."""
         if not s or any(not c.isdigit() or int(c) >= self.p for c in s):
-            raise ValueError(f"coefficient {s!r} is not a base-{self.p} digit string")
+            raise ValueError(f"coefficient {echo_text(s)} is not a base-{self.p} digit string")
         v = int(s, self.p)
         if v >= self.q:
-            raise ValueError(f"coefficient {s!r} is out of range for q={self.q}")
+            raise ValueError(f"coefficient {echo_text(s)} is out of range for q={self.q}")
         return v
 
     # polynomial factories ---------------------------------------------------
@@ -666,6 +666,11 @@ def pretty_poly(p: Poly) -> str:
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\[\d+\]|\d+)\*?)?(Y)(?:\^(\d+))?|(\[\d+\]|\d+))\s*")
 
 
+def echo_text(s: str, limit: int = 40) -> str:
+    """repr of an input text for an error message, cut to `limit` characters."""
+    return repr(s if len(s) <= limit else s[:limit] + "...")
+
+
 def _text_terms(field: Fq, s: str) -> Dict[int, int]:
     """Exponent -> coefficient of the comma form ("1,0,1") or the pretty
     form ("Y^2+2*Y+1"), like terms summed.
@@ -684,8 +689,8 @@ def _text_terms(field: Fq, s: str) -> Dict[int, int]:
         term = _TERM.match(s, pos)
         if term is None or (pos and not term.group(1)):
             raise ValueError(
-                f"cannot read {s[pos:]!r} at position {pos}: expected terms "
-                "such as 2*Y^3, Y or 1 joined by + or -")
+                f"cannot read {echo_text(s[pos:])} at position {pos}: expected "
+                "terms such as 2*Y^3, Y or 1 joined by + or -")
         sign, head, y, exp, const = term.groups()
         text = head if y else const
         if text and text.startswith("["):

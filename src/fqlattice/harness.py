@@ -36,7 +36,6 @@ files).
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -46,14 +45,15 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
                     convergents, shortest_solution)
 from .field import (NEG_INF, Fq, Ideal, Poly, get_field, is_coprime,
-                    poly_from_text, polys_of_degree, polys_up_to_degree,
-                    text_degree)
+                    echo_text, poly_from_text, polys_of_degree,
+                    polys_up_to_degree, text_degree)
 from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    expected_box_count, hecke_index, hecke_index_bruteforce,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
@@ -122,16 +122,19 @@ def _guard_exponent(q: int, guard: int) -> int:
     return e
 
 
-def _report_rows(cfg: RunConfig) -> Tuple[int, int]:
-    """(c, e) for the c q^e rows of the cell table of `joint`, `cfe` or
-    `bijection`: one per level and cell, from the cell counts
-    (q^2 - 1) q^(2m - 2) of all direction cells, (q - 1) q^(2m - 1) of the
-    sharp ones, and q^(mp - 1) of the solution cells.  Other experiments
-    have no cell table: c = 0."""
-    q, m = cfg.q, cfg.depth_m
+def _cell_tables(cfg: RunConfig) -> List[Tuple[str, int, int]]:
+    """(name, c, e) for each table of c q^e rows the run builds: the report
+    of `joint`, `cfe` or `bijection`, a row per level and cell of the
+    (q^2 - 1) q^(2m - 2) direction (or (q - 1) q^(2m - 1) sharp) and q^(mp - 1)
+    solution cells, and the cell lists `--dump` of `count` or `joint` names."""
+    q, m, mp = cfg.q, cfg.depth_m, cfg.depth_mp
     c, e = {"cfe": (1, 0), "joint": (q * q - 1, 2 * m - 2),
             "bijection": (q - 1, 2 * m - 1)}.get(cfg.experiment, (0, 0))
-    return (cfg.n_max - cfg.n_min + 1) * c, e + cfg.depth_mp - 1
+    tables = [("report", (cfg.n_max - cfg.n_min + 1) * c, e + mp - 1)] if c else []
+    if cfg.dump and cfg.experiment in ("count", "joint"):
+        tables += [("--dump direction cell list", q * q - 1, 2 * m - 2),
+                   ("--dump solution cell list", 1, mp - 1)]
+    return tables
 
 
 def _check_work(cfg: RunConfig, e: int, top: int, relation: str = "=") -> None:
@@ -164,15 +167,15 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     try:
         work = _work_exponent(cfg, field)
     except ValueError as e:
-        raise ConfigError(f"bad ideal generator {cfg.ideal!r}: {e}") from e
+        raise ConfigError(f"bad ideal generator {echo_text(cfg.ideal)}: {e}") from e
     _check_work(cfg, work, top)
-    c, e = _report_rows(cfg)
-    if c and (e > top or c * cfg.q ** e > cfg.guard):
-        rows = f"{c} x {cfg.q}^{e}" if e > top else c * cfg.q ** e
-        raise ConfigError(
-            f"the {cfg.experiment} report would hold {rows} rows at depths "
-            f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
-            "raise --guard to proceed")
+    for name, c, e in _cell_tables(cfg):
+        if e > top or c * cfg.q ** e > cfg.guard:
+            rows = f"{c} x {cfg.q}^{e}" if e > top else c * cfg.q ** e
+            raise ConfigError(
+                f"the {cfg.experiment} {name} would hold {rows} rows at depths "
+                f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
+                "raise --guard to proceed")
     gen = poly_from_text(field, cfg.ideal)
     if gen.is_zero():
         raise ConfigError("ideal generator must be nonzero")
@@ -265,21 +268,31 @@ def _csv_cell(v) -> str:
         return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     if v is None:
         return "-"
     return str(v)
 
 
+def _csv_field(v) -> str:
+    """_csv_cell quoted as csv.writer quotes it on Python 3.11 (not for '\\r')."""
+    t = _csv_cell(v)
+    return '"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\n') else t
+
+
 def _csv_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    import csv as _csv
-    buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
+    """csv.writer's table of two or more columns.  Each cell object is
+    formatted once, keyed by id(): the rows keep the objects alive."""
+    texts: Dict[int, str] = {}
+    cells = itemgetter(*columns)
+    lines = [",".join(map(_csv_field, columns))]
     for r in rows:
-        w.writerow([_csv_cell(r[c]) for c in columns])
-    return buf.getvalue()
+        values = cells(r)
+        try:
+            lines.append(",".join(map(texts.__getitem__, map(id, values))))
+        except KeyError:
+            texts.update((id(v), _csv_field(v)) for v in values)
+            lines.append(",".join(map(texts.__getitem__, map(id, values))))
+    return "\n".join(lines) + "\n"
 
 
 def to_csv(report: Report) -> str:
@@ -405,12 +418,14 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
 
     steps: Dict[tuple, tuple] = {}
 
+    @lru_cache(maxsize=None)
+    def affine(rho, x, y):
+        return code[((residues[rho] * residues[x] + residues[y]) % gen).coeffs]
+
     def res_step(rho, res):
         """(rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen."""
-        a = residues[rho]
-        rp, rq, rpp, rqp = (residues[x] for x in res)
-        steps[(rho, res)] = new = (code[((a * rp + rpp) % gen).coeffs],
-                                   code[((a * rq + rqp) % gen).coeffs], res[0], res[1])
+        steps[(rho, res)] = new = (affine(rho, res[0], res[2]),
+                                   affine(rho, res[1], res[3]), res[0], res[1])
         return new
 
     # k = 0: P_0 = 0 and Q_0 = 1, with P_{-1} = 1 and Q_{-1} = 0 at gap 0,

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output routing, dump files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fqlattice
-from fqlattice.cli import main
+from fqlattice.cli import build_parser, config_from_args, main
 
 
 def run(argv, capsys):
@@ -61,6 +62,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "configuration error: workers must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--ideal", "Y^" + "9" * 5000],
+        ["count", "--ideal", "Y2" + "x" * 5000],
+        ["count", "--ideal", "[" + "1" * 5000 + "]"],
+        ["count", "--q", "4", "--modulus", "x" * 5000],
+    ])
+    def test_long_text_echo_is_cut(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: bad ")
+        assert "...'" in err and len(err.encode()) < 300
+
+    def test_dump_cells_refused_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        code, out, err = run(["count", "--dump", "--depth-m", "40",
+                              "--depth-mp", "60"], capsys)
+        assert code == 2 and out == ""
+        assert "--dump direction cell list would hold 3 x 2^78 rows" in err
+
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err
@@ -93,6 +115,89 @@ class TestExitCodes:
         code, _, err = run(["verify"], capsys)
         assert code == 1
         assert "failure(s)" in err
+
+
+class TestParser:
+    """The option surface: help texts and usage errors as they read before
+    the subcommands shared one set of options, at a width of 80 columns."""
+
+    HELP_SHA256 = {
+        "count": "d8f13a23deae74ad9118e80946728c1fdb2aa21f6e9e04ad3370231bb5d77443",
+        "joint": "e04c07a3c80fa5d24c2f1c415ac7fde9cb49b560c6598a80ce66e86cd2a17ad2",
+        "cfe": "7f5b197a0464ca341ed51580d29a0ffb6d0aeadde6ae78e1a72c4ed765fb90c3",
+        "verify": "95a328c09153a60d0a6710cfebf5f727f2415237fedac2630133d8354bacf1a2",
+        "bijection": "e78142c0063bf7d6e2692d21e53c13808def7ae86ee7e31e8096ac9a29443d4d",
+    }
+    USAGE = "usage: fqlattice [-h] {count,joint,cfe,verify,bijection} ...\n"
+    COUNT_USAGE = (
+        "usage: fqlattice count [-h] [--q Q] [--modulus MODULUS] [--n-min N_MIN]\n"
+        "                       [--n-max N_MAX] [--depth-m DEPTH_M]\n"
+        "                       [--depth-mp DEPTH_MP] [--ideal IDEAL]\n"
+        "                       [--workers WORKERS] [--format {csv,json}] [--out OUT]\n"
+        "                       [--dump] [--guard GUARD] [--cell-floor CELL_FLOOR]\n")
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def exits(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        captured = capsys.readouterr()
+        return stop.value.code, captured.out, captured.err
+
+    def test_top_help(self, capsys):
+        assert self.exits(["--help"], capsys) == (0, self.USAGE + """
+Exact experiments on primitive lattice points over rational function fields
+
+positional arguments:
+  {count,joint,cfe,verify,bijection}
+    count               level counts against the main term
+    joint               direction/solution cell histograms
+    cfe                 continued-fraction penultimate-denominator statistics
+    verify              run every oracle comparison and report a table
+    bijection           two-sided box enumeration comparison
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+    @pytest.mark.parametrize("name", sorted(HELP_SHA256))
+    def test_subcommand_help(self, capsys, name):
+        code, out, err = self.exits([name, "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[name], out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["frobnicate"], "fqlattice: error: argument experiment: invalid choice: "
+         "'frobnicate' (choose from 'count', 'joint', 'cfe', 'verify', 'bijection')\n"),
+        ([], "fqlattice: error: the following arguments are required: experiment\n"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        assert self.exits(argv, capsys) == (2, "", self.USAGE + message)
+
+    def test_bad_int_option(self, capsys):
+        assert self.exits(["count", "--q", "x"], capsys) == (
+            2, "", self.COUNT_USAGE +
+            "fqlattice count: error: argument --q: invalid int value: 'x'\n")
+
+    @pytest.mark.parametrize("name", ["count", "joint", "cfe", "verify", "bijection"])
+    def test_defaults(self, name):
+        cfg = config_from_args(build_parser().parse_args([name]))
+        levels = (0, 2) if name == "bijection" else (1, 3)
+        assert (cfg.experiment, cfg.n_min, cfg.n_max) == (name,) + levels
+        assert (cfg.q, cfg.modulus, cfg.depth_m, cfg.depth_mp, cfg.ideal) == (
+            2, None, 1, 2, "1")
+        assert (cfg.fmt, cfg.out, cfg.dump, cfg.guard, cfg.cell_floor) == (
+            "csv", None, False, 10 ** 8, 8)
+
+    def test_defaults_do_not_leak_between_subcommands(self):
+        parser = build_parser()
+        for argv, levels in ((["bijection", "--n-max", "4"], (0, 4)),
+                             (["count", "--n-min", "2"], (2, 3)),
+                             (["bijection"], (0, 2)), (["joint"], (1, 3))):
+            cfg = config_from_args(parser.parse_args(argv))
+            assert (cfg.n_min, cfg.n_max) == levels
 
 
 class TestOutputs:
@@ -154,3 +259,21 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "# kind=count" in proc.stdout
+
+
+def test_no_module_imported_during_a_call(tmp_path):
+    # a lazy import inside cli.main would be paid by every cold run
+    src = str(Path(fqlattice.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from fqlattice.cli import main\n"
+        "for argv in (['count', '--q', '3', '--ideal', 'Y+1'], ['joint'], ['cfe']):\n"
+        "    before = set(sys.modules)\n"
+        f"    assert main(argv + ['--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+        "    print(argv[0], sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["count []", "joint []", "cfe []"]

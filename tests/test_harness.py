@@ -1,20 +1,25 @@
 """Experiment drivers: frozen values, cross-report identities, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import shutil
 import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import hecke_index
-from fqlattice.harness import (ConfigError, RunConfig, build_id, render_report,
+from fqlattice.harness import (ConfigError, RunConfig, _csv_cell, _csv_table,
+                               build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
                                validate_config, work_estimate)
@@ -97,6 +102,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rows"):
             validate_config(cfg)
         validate_config(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
+
+    def test_guard_counts_dump_cells(self):
+        # --dump lists every direction and solution cell to name the points
+        # of count: about 2^80 and 2^59 of them here, refused at once
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"direction cell list would hold 3 x 2\^78"):
+            validate_config(RunConfig(dump=True, depth_m=40, depth_mp=60))
+        with pytest.raises(ConfigError, match=r"solution cell list would hold 1 x 2\^59"):
+            validate_config(RunConfig(dump=True, depth_mp=60))
+        assert time.perf_counter() - t0 < 1
+        validate_config(RunConfig(depth_m=40, depth_mp=60))
+        validate_config(RunConfig(dump=True, depth_m=40, experiment="cfe"))
+
+    @pytest.mark.parametrize("depths,cells,text", [
+        ((3, 2), 48, "direction cell list would hold 48 rows"),
+        ((1, 7), 64, r"solution cell list would hold 1 x 2\^6 rows"),
+    ])
+    def test_dump_cell_guard_is_exact(self, depths, cells, text):
+        # 3 * 2^4 direction cells at m = 3, 2^6 solution cells at mp = 7
+        cfg = dict(q=2, n_max=1, depth_m=depths[0], depth_mp=depths[1], dump=True)
+        validate_config(RunConfig(guard=cells, **cfg))
+        with pytest.raises(ConfigError, match=text):
+            validate_config(RunConfig(guard=cells - 1, **cfg))
+        validate_config(RunConfig(guard=cells - 1, **dict(cfg, dump=False)))
 
     def test_guard_counts_cfe_rows(self):
         cfg = dict(q=3, n_min=1, n_max=2, depth_mp=8, experiment="cfe")
@@ -379,6 +408,42 @@ class TestSerialization:
         rep = run_count(RunConfig(q=2, n_min=1, n_max=1))
         with pytest.raises(ValueError):
             to_points_csv(rep)
+
+
+CSV_TEXT = st.text(alphabet=st.sampled_from(',"\n\r ab-1/'), max_size=8)
+CSV_VALUES = st.one_of(
+    CSV_TEXT, st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
+    st.fractions(max_denominator=10 ** 6), st.floats(allow_nan=True))
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns and rows drawn from a small pool of values, so that rows
+    share cell objects as the report rows do."""
+    columns = draw(st.lists(CSV_TEXT, min_size=2, max_size=5, unique=True))
+    pool = draw(st.lists(CSV_VALUES, min_size=1, max_size=12))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=len(columns),
+                                  max_size=len(columns)), max_size=12))
+    return columns, [dict(zip(columns, row)) for row in rows]
+
+
+class TestCsvTable:
+    """_csv_table against csv.writer(lineterminator="\n") fed _csv_cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    @example((["a", "b"], [{"a": 1, "b": True}, {"a": True, "b": 1},
+                           {"a": Fraction(1), "b": None}, {"a": 0.5, "b": False}]))
+    @example(([" ", "\r", 'x"'], [{" ": "", "\r": "a\rb", 'x"': 'say "y"'},
+                                  {" ": "1,5\n", "\r": " ", 'x"': "-"}]))
+    def test_matches_csv_writer(self, table):
+        columns, rows = table
+        texts = [list(columns)] + [[_csv_cell(r[c]) for c in columns] for r in rows]
+        # csv quotes a lone '\r' from Python 3.13 on; the reports hold none
+        assume(sys.version_info < (3, 13) or "\r" not in "".join(sum(texts, [])))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(texts)
+        assert _csv_table(columns, rows) == buf.getvalue()
 
 
 class TestGoldenReports:
