@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="accepted (must be >= 1) but has no effect: "
                              "count, joint and cfe run in one process")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--dump", action="store_true",
                         help="materialize point lists for levels n <= 4")

@@ -666,9 +666,9 @@ def pretty_poly(p: Poly) -> str:
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\[\d+\]|\d+)\*?)?(Y)(?:\^(\d+))?|(\[\d+\]|\d+))\s*")
 
 
-def echo_text(s: str, limit: int = 40) -> str:
-    """repr of an input text for an error message, cut to `limit` characters."""
-    return repr(s if len(s) <= limit else s[:limit] + "...")
+def echo_text(s: str) -> str:
+    """repr of an input text for an error message, cut to 40 characters."""
+    return repr(s if len(s) <= 40 else s[:40] + "...")
 
 
 def _text_terms(field: Fq, s: str) -> Dict[int, int]:

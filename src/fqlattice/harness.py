@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import subprocess
 import time
 from collections import Counter
@@ -153,8 +154,8 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
     out_dir = None if cfg.out is None else Path(cfg.out).parent
-    if out_dir is not None and not out_dir.is_dir():
-        raise ConfigError(f"output directory {str(out_dir)!r} does not exist")
+    if out_dir is not None and not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {echo_text(str(out_dir))} does not exist")
     if cfg.q < 2:
         raise ConfigError("q must be a prime power >= 2")
     top = _guard_exponent(cfg.q, cfg.guard)
@@ -275,18 +276,16 @@ def _csv_cell(v) -> str:
 
 def _csv_field(v) -> str:
     """_csv_cell quoted as csv.writer quotes it on Python 3.11 (not for '\\r')."""
-    t = _csv_cell(v)
-    return '"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\n') else t
+    t = v if type(v) is str else _csv_cell(v)
+    return '"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\n" in t else t
 
 
 def _csv_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
     """csv.writer's table of two or more columns.  Each cell object is
-    formatted once, keyed by id(): the rows keep the objects alive."""
+    formatted once, keyed by id(): report rows share and keep them alive."""
     texts: Dict[int, str] = {}
-    cells = itemgetter(*columns)
     lines = [",".join(map(_csv_field, columns))]
-    for r in rows:
-        values = cells(r)
+    for values in map(itemgetter(*columns), rows):
         try:
             lines.append(",".join(map(texts.__getitem__, map(id, values))))
         except KeyError:
@@ -311,7 +310,9 @@ def to_csv(report: Report) -> str:
 def to_points_csv(report: Report) -> str:
     if report.points is None:
         raise ValueError("report carries no point dump")
-    return _csv_table(POINT_COLUMNS, report.points)
+    # point rows share no cell objects, so _csv_table's cache would only miss
+    rows = map(itemgetter(*POINT_COLUMNS), report.points)
+    return "\n".join([",".join(map(_csv_field, r)) for r in (POINT_COLUMNS, *rows)]) + "\n"
 
 
 def render_report(report: Report) -> str:

@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,8 +19,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import hecke_index
-from fqlattice.harness import (ConfigError, RunConfig, _csv_cell, _csv_table,
-                               build_id, render_report,
+from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _csv_cell,
+                               _csv_table, build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
                                validate_config, work_estimate)
@@ -438,12 +439,24 @@ class TestCsvTable:
                                   {" ": "1,5\n", "\r": " ", 'x"': "-"}]))
     def test_matches_csv_writer(self, table):
         columns, rows = table
+        assert _csv_table(columns, rows) == self.oracle(columns, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fixed_dictionaries(dict.fromkeys(POINT_COLUMNS, CSV_VALUES)),
+                    max_size=12))
+    def test_points_match_csv_writer(self, points):
+        # to_points_csv formats every cell afresh instead of through the cache
+        expected = self.oracle(POINT_COLUMNS, points)
+        assert to_points_csv(SimpleNamespace(points=points)) == expected
+
+    @staticmethod
+    def oracle(columns, rows):
         texts = [list(columns)] + [[_csv_cell(r[c]) for c in columns] for r in rows]
         # csv quotes a lone '\r' from Python 3.13 on; the reports hold none
         assume(sys.version_info < (3, 13) or "\r" not in "".join(sum(texts, [])))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(texts)
-        assert _csv_table(columns, rows) == buf.getvalue()
+        return buf.getvalue()
 
 
 class TestGoldenReports:
