@@ -14,8 +14,7 @@ exhaustive scan used as an oracle against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .field import NEG_INF, Poly, is_coprime, polys_up_to_degree
 from .laurent import LatticeVec, RationalFn
@@ -30,8 +29,7 @@ def artin_step(f: RationalFn) -> RationalFn:
     return f.reciprocal().fractional_part()
 
 
-@dataclass(frozen=True)
-class CfExpansion:
+class CfExpansion(NamedTuple):
     """[a0; a1, ..., an] with deg(ai) >= 1 for i >= 1."""
 
     source: RationalFn
@@ -70,8 +68,7 @@ def cf_value(a0: Poly, coeffs: Tuple[Poly, ...]) -> RationalFn:
     return head if acc is None else head + acc.reciprocal()
 
 
-@dataclass(frozen=True)
-class ConvergentTable:
+class ConvergentTable(NamedTuple):
     """Rows (P_i, Q_i) for i = -1..n with the standard recurrences.
 
     P_-1 = 1, Q_-1 = 0, P_0 = a0, Q_0 = 1, and

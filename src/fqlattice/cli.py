@@ -30,7 +30,7 @@ def _parse_modulus(text: Optional[str]):
                           "coefficient digits, constant first") from e
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _options() -> argparse.ArgumentParser:
     # options shared by every subcommand; config_from_args fills the level range
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=int, default=2,
@@ -61,6 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cell-floor", type=int, default=8,
                         help="warn when expected counts per cell drop below "
                              "this floor")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _options()
     parser = argparse.ArgumentParser(
         prog="fqlattice",
         description="Exact experiments on primitive lattice points over "
@@ -76,9 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """One subcommand's parser when argv starts with one; the whole tree
+    otherwise, or for arguments left over, so argparse words the error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in EXPERIMENTS:
+        parser = argparse.ArgumentParser(prog=f"fqlattice {argv[0]}", parents=[_options()])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(experiment=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if args.dump and args.experiment not in ("count", "joint"):
+        raise ConfigError(f"--dump applies only to count and joint, not {args.experiment}")
     lo = 0 if args.experiment == "bijection" else 1
     return RunConfig(
         q=args.q, modulus=_parse_modulus(args.modulus),
@@ -116,8 +135,7 @@ def _write_output(report: Report) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         cfg = config_from_args(args)
         runner = RUNNERS[cfg.experiment]

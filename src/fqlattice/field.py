@@ -16,9 +16,8 @@ instead of letting a -1 sentinel leak into degree formulas.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class _Extended:
@@ -592,17 +591,19 @@ def factor(p: Poly) -> Tuple[Poly, ...]:
     return tuple(sorted(out, key=Poly.sort_key))
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Nonzero ideal of GF(q)[Y], stored by its monic generator."""
-
+class _IdealFields(NamedTuple):
     gen: Poly
 
-    def __post_init__(self):
-        if self.gen.is_zero():
+
+class Ideal(_IdealFields):
+    """Nonzero ideal of GF(q)[Y], stored by its monic generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, gen: Poly):
+        if gen.is_zero():
             raise ValueError("ideal generator must be nonzero")
-        if not self.gen.is_monic():
-            object.__setattr__(self, "gen", self.gen.monic())
+        return super().__new__(cls, gen if gen.is_monic() else gen.monic())
 
     @classmethod
     def unit(cls, field: Fq) -> "Ideal":

@@ -10,7 +10,6 @@ determinant census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -73,8 +72,7 @@ def counting_main_term(I: Ideal, n: int) -> Fraction:
     return sphere_mass(q) * quotient_mass(q) * q ** (2 * n) / c_constant(I)
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(NamedTuple):
     """Measurement box: direction target of mass theta_mass, norm level n,
     unit-ball target of mass dprime_mass."""
 
@@ -195,8 +193,7 @@ def sl2_order_bruteforce(field: Fq, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Row-major 2x2 matrix [[a, b], [c, d]] with exact rational entries."""
 
     a: RationalFn

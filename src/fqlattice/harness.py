@@ -43,12 +43,11 @@ import os
 import subprocess
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
                     convergents, shortest_solution)
@@ -85,8 +84,7 @@ class ConfigError(ValueError):
     """Configuration rejected before any work starts."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     q: int = 2
     modulus: Optional[Tuple[int, ...]] = None
     n_min: int = 1
@@ -183,16 +181,15 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     return field, Ideal(gen)
 
 
-@dataclass
 class Report:
-    kind: str
-    config: RunConfig
-    columns: Tuple[str, ...]
-    rows: List[dict]
-    summary: Dict[str, object]
-    warnings: List[str] = dataclass_field(default_factory=list)
-    points: Optional[List[dict]] = None
-    wall_time_s: float = 0.0
+    def __init__(self, kind: str, config: RunConfig, columns: Tuple[str, ...],
+                 rows: List[dict], summary: Dict[str, object],
+                 warnings: Optional[List[str]] = None,
+                 points: Optional[List[dict]] = None, wall_time_s: float = 0.0):
+        self.kind, self.config, self.columns = kind, config, columns
+        self.rows, self.summary = rows, summary
+        self.warnings = [] if warnings is None else warnings
+        self.points, self.wall_time_s = points, wall_time_s
 
 
 # the source checkout this module runs from, if it runs from one

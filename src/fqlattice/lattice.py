@@ -24,9 +24,8 @@ domain cell fixes leading digits of an element of the open unit ball.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import Fq, Ideal, Poly, is_coprime, poly_xgcd, polys_of_degree, polys_up_to_degree
 from .haar import Mat2
@@ -69,21 +68,25 @@ def lattice_is_sharp(v: LatticeVec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereCell:
-    """Depth-m cell of the unit sphere: both direction components have their
-    expansion digits at indices 0..m-1 pinned.  Valid cells have a nonzero
-    digit pair at index 0."""
-
+class _SphereCellFields(NamedTuple):
     field: Fq
     x_digits: Tuple[int, ...]
     y_digits: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.x_digits or len(self.x_digits) != len(self.y_digits):
+
+class SphereCell(_SphereCellFields):
+    """Depth-m cell of the unit sphere: both direction components have their
+    expansion digits at indices 0..m-1 pinned.  Valid cells have a nonzero
+    digit pair at index 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: Fq, x_digits: Tuple[int, ...], y_digits: Tuple[int, ...]):
+        if not x_digits or len(x_digits) != len(y_digits):
             raise ValueError("digit tuples must share a positive length")
-        if self.x_digits[0] == 0 and self.y_digits[0] == 0:
+        if x_digits[0] == 0 and y_digits[0] == 0:
             raise ValueError("cell lies outside the unit sphere")
+        return super().__new__(cls, field, x_digits, y_digits)
 
     @property
     def depth(self) -> int:
@@ -115,18 +118,22 @@ class SphereCell:
                 + ".".join(map(str, self.y_digits)))
 
 
-@dataclass(frozen=True)
-class DomainCell:
-    """Depth-m' cell of the open unit ball: digits at indices 1..m'-1 pinned
-    (the index-0 digit of any ball element is zero)."""
-
+class _DomainCellFields(NamedTuple):
     field: Fq
     depth: int
     digits: Tuple[int, ...]
 
-    def __post_init__(self):
-        if self.depth < 1 or len(self.digits) != self.depth - 1:
+
+class DomainCell(_DomainCellFields):
+    """Depth-m' cell of the open unit ball: digits at indices 1..m'-1 pinned
+    (the index-0 digit of any ball element is zero)."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: Fq, depth: int, digits: Tuple[int, ...]):
+        if depth < 1 or len(digits) != depth - 1:
             raise ValueError("need depth-1 digits for a depth cell")
+        return super().__new__(cls, field, depth, digits)
 
     def measure(self) -> Fraction:
         return Fraction(1, self.field.q ** self.depth)
@@ -164,8 +171,7 @@ def domain_cells(field: Fq, mp: int) -> List[DomainCell]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumFilter:
+class EnumFilter(NamedTuple):
     """Restrictions applied while walking level-n primitive vectors.
 
     ideal filters on the small component (the one away from the sup norm,
@@ -363,8 +369,7 @@ def matrix_side_enumerate(field: Fq, n: int, theta: SphereCell,
     return out
 
 
-@dataclass(frozen=True)
-class BijectionResult:
+class BijectionResult(NamedTuple):
     lattice_count: int
     matrix_count: int
     equal: bool

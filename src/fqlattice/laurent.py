@@ -14,7 +14,6 @@ just "drop the polynomial part".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
 from .field import Fq, NEG_INF, POS_INF, Poly, poly_gcd
@@ -156,8 +155,7 @@ def reduce_mod_R(f: RationalFn) -> RationalFn:
     return f.fractional_part()
 
 
-@dataclass(frozen=True)
-class LaurentWindow:
+class LaurentWindow(NamedTuple):
     """Exact expansion slice: all coefficients at indices < prec are known.
 
     Indices count powers of 1/Y, so index n carries the coefficient of Y^-n.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fqlattice
-from fqlattice.cli import build_parser, config_from_args, main
+from fqlattice.cli import build_parser, config_from_args, main, parse_args
 
 
 def run(argv, capsys):
@@ -85,6 +85,16 @@ class TestExitCodes:
                               "--depth-mp", "60"], capsys)
         assert code == 2 and out == ""
         assert "--dump direction cell list would hold 3 x 2^78 rows" in err
+
+    @pytest.mark.parametrize("name", ["cfe", "verify", "bijection"])
+    def test_dump_refused_outside_count_and_joint(self, capsys, monkeypatch, name):
+        def no_work(cfg):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.cli.RUNNERS", {name: no_work})
+        code, out, err = run([name, "--dump", "--n-max", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("configuration error: --dump applies only to count "
+                       f"and joint, not {name}\n")
 
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
@@ -187,26 +197,30 @@ class TestParser:
         ["verify", "--help"], ["bijection", "--help"],
         ["frobnicate"], [], ["count", "--q", "x"], ["joint", "--format", "xml"],
         ["bijection", "--bogus"], ["cfe", "--n-max"],
+        ["count", "stray"], ["joint", "--n-m", "3"], ["-h"],
+        ["--q", "2", "count"], ["joint", "--", "x"],
     ])
     def test_output_matches_reference(self, capsys, argv):
         new = self.exits(main, argv, capsys)
         assert new == self.exits(reference_parser().parse_args, argv, capsys)
-        assert new[0] == (0 if "--help" in argv else 2)
-        assert (new[1] if "--help" in argv else new[2]).startswith("usage: fqlattice")
+        helps = "--help" in argv or "-h" in argv
+        assert new[0] == (0 if helps else 2)
+        assert (new[1] if helps else new[2]).startswith("usage: fqlattice")
 
     @pytest.mark.parametrize("argv", [
         ["count"], ["joint"], ["cfe"], ["verify"], ["bijection"],
         ["bijection", "--n-max", "4"], ["count", "--n-min", "2"],
         ["joint", "--q", "9", "--n-min", "0", "--ideal", "Y", "--dump"],
         ["cfe", "--depth-mp", "5", "--format", "json", "--guard", "7"],
+        ["cfe", "--cell", "4"],
     ])
     def test_config_matches_reference(self, argv):
-        parsed = config_from_args(build_parser().parse_args(argv))
+        parsed = config_from_args(parse_args(argv))
         assert parsed == config_from_args(reference_parser().parse_args(argv))
 
     @pytest.mark.parametrize("name", ["count", "joint", "cfe", "verify", "bijection"])
     def test_defaults(self, name):
-        cfg = config_from_args(build_parser().parse_args([name]))
+        cfg = config_from_args(parse_args([name]))
         levels = (0, 2) if name == "bijection" else (1, 3)
         assert (cfg.experiment, cfg.n_min, cfg.n_max) == (name,) + levels
         assert (cfg.q, cfg.modulus, cfg.depth_m, cfg.depth_mp, cfg.ideal) == (
@@ -300,3 +314,20 @@ def test_no_module_imported_during_a_call(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["count []", "joint []", "cfe []"]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # each costs milliseconds of a cold start; compare against what the
+    # interpreter had loaded before the import, whatever its site loads
+    src = str(Path(fqlattice.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fqlattice.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

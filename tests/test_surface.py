@@ -71,3 +71,20 @@ def test_all_names_resolve():
     missing = [name for name in fqlattice.__all__ if not hasattr(fqlattice, name)]
     assert not missing
     assert len(set(fqlattice.__all__)) == len(fqlattice.__all__)
+
+
+def test_no_dataclasses_import():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize on every
+    # cold start; the value classes are NamedTuples or plain classes
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "imports dataclasses:\n" + "\n".join(found)
