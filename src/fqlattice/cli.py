@@ -56,8 +56,8 @@ def _options() -> argparse.ArgumentParser:
                         help="materialize point lists for levels n <= 4")
     common.add_argument("--guard", type=int, default=10 ** 8,
                         help="refuse runs whose work estimate "
-                             "q^(2*n_max+2+deg gen), or whose report table "
-                             "rows, exceed this bound")
+                             "q^(2*n_max+2+deg gen), report table rows or "
+                             "--dump cell list rows exceed this bound")
     common.add_argument("--cell-floor", type=int, default=8,
                         help="warn when expected counts per cell drop below "
                              "this floor")

@@ -2,10 +2,12 @@
 
 Field elements are integer codes 0..q-1.  For q = p^d the code packs the d
 residue digits of the element in base p (low digit = constant coordinate), so
-prime fields are just residues mod p.  An Fq instance owns flat add/mul/neg/inv
-tables, which keeps element operations at dictionary-free list-index speed for
-the desk-scale fields this library targets (q <= 9 built in, any small prime
-power accepted with an explicit modulus).
+prime fields are just residues mod p; the tables of GF(p^d) come from Poly
+arithmetic over GF(p) modulo the field's monic irreducible modulus.  An Fq
+instance owns flat add/mul/neg/inv tables, which keeps element operations at
+dictionary-free list-index speed for the desk-scale fields this library
+targets (q <= 9 built in, any small prime power accepted with an explicit
+modulus).
 
 Polynomials are immutable coefficient tuples (low to high, trimmed).  The
 degree of the zero polynomial is the NEG_INF singleton: it orders below every
@@ -64,70 +66,6 @@ POS_INF = _Extended(True)
 # so no monkey patching is needed; arithmetic on the singletons raises TypeError.
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
-# digit-vector helpers over the prime field, used only to bootstrap Fq tables
-# ---------------------------------------------------------------------------
-
-
-def _vec_trim(v: List[int]) -> List[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _vec_mul(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _vec_trim(out)
-
-
-def _vec_mod(u: Sequence[int], m: Sequence[int], p: int) -> List[int]:
-    r = list(u)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and _vec_trim(r):
-        shift = len(r) - 1 - dm
-        c = (r[-1] * inv_lead) % p
-        for i, b in enumerate(m):
-            r[i + shift] = (r[i + shift] - c * b) % p
-        _vec_trim(r)
-    return r
-
-
-def _vec_irreducible(m: Sequence[int], p: int) -> bool:
-    d = len(m) - 1
-    if d < 1:
-        return False
-    # trial division by every monic candidate of degree <= d/2
-    for deg in range(1, d // 2 + 1):
-        for code in range(p ** deg):
-            v = []
-            c = code
-            for _ in range(deg):
-                v.append(c % p)
-                c //= p
-            v.append(1)
-            if not _vec_trim(_vec_mod(m, v, p)):
-                return False
-    return True
-
-
 _BUILTIN_MODULI = {
     4: (1, 1, 1),      # T^2 + T + 1 over GF(2)
     8: (1, 1, 0, 1),   # T^3 + T + 1 over GF(2)
@@ -150,52 +88,41 @@ class Fq:
             if modulus is not None:
                 raise ValueError("prime field takes no modulus")
             self.modulus: Tuple[int, ...] = ()
+            self._build_tables(None)
         else:
             if modulus is None:
                 if q not in _BUILTIN_MODULI:
                     raise ValueError(f"no built-in modulus for q={q}")
                 modulus = _BUILTIN_MODULI[q]
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            for k, c in enumerate(modulus):
+                if not 0 <= c < p:
+                    raise ValueError(f"modulus coefficient {c} at position {k} "
+                                     f"is not a digit 0..{p - 1} of GF({p})")
             if len(modulus) != d + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree d over GF(p)")
-            if not _vec_irreducible(modulus, p):
+            m = Poly(get_field(p), modulus)
+            if not is_irreducible(m):
                 raise ValueError("modulus is reducible over GF(p)")
             self.modulus = modulus
-        self._build_tables()
+            self._build_tables(m)
         self._poly_cache = {}
 
-    def _build_tables(self) -> None:
-        p, d, q = self.p, self.d, self.q
-        self.neg_t = [(-a) % p if d == 1 else self._pack([(-x) % p for x in self._unpack(a)])
-                      for a in range(q)]
-        add = []
-        mul = []
-        for a in range(q):
-            arow_add = []
-            arow_mul = []
-            for b in range(q):
-                if d == 1:
-                    arow_add.append((a + b) % p)
-                    arow_mul.append((a * b) % p)
-                else:
-                    va, vb = self._unpack(a), self._unpack(b)
-                    arow_add.append(self._pack([(x + y) % p for x, y in zip(va, vb)]))
-                    prod = _vec_mod(_vec_mul(_vec_trim(list(va)), _vec_trim(list(vb)), p),
-                                    self.modulus, p)
-                    arow_mul.append(self._pack(prod + [0] * (d - len(prod))))
-            add.append(arow_add)
-            mul.append(arow_mul)
-        self.add_t = add
-        self.mul_t = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise ValueError("element without inverse; field tables broken")
-        self.inv_t = inv
+    def _build_tables(self, modulus: Optional["Poly"]) -> None:
+        """Residues mod p, or for d > 1 polynomials over GF(p) mod the modulus."""
+        p, q = self.p, self.q
+        if modulus is None:
+            self.add_t = [[(a + b) % p for b in range(q)] for a in range(q)]
+            self.mul_t = [[(a * b) % p for b in range(q)] for a in range(q)]
+            self.neg_t = [(-a) % p for a in range(q)]
+        else:
+            elems = [Poly(modulus.field, tuple(self._unpack(a))) for a in range(q)]
+            pack = self._pack
+            self.add_t = [[pack((x + y).coeffs) for y in elems] for x in elems]
+            self.mul_t = [[pack((x * y % modulus).coeffs) for y in elems] for x in elems]
+            self.neg_t = [pack((-x).coeffs) for x in elems]
+        # the first b with a * b = 1; b = 0 never is
+        self.inv_t = [0] + [row.index(1) for row in self.mul_t[1:]]
 
     def _unpack(self, code: int) -> List[int]:
         v = []
@@ -228,15 +155,6 @@ class Fq:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return self.inv_t[a]
-
-    def coords(self, a: int) -> Tuple[int, ...]:
-        """Residue digits of an element, constant coordinate first."""
-        return tuple(self._unpack(a))
-
-    def from_coords(self, digits: Sequence[int]) -> int:
-        if len(digits) != self.d:
-            raise ValueError("expected d digits")
-        return self._pack([x % self.p for x in digits])
 
     def element_text(self, a: int) -> str:
         """Base-p digit string of the code, most significant digit first."""
@@ -302,19 +220,15 @@ class Fq:
 def _prime_power_split(q: int) -> Tuple[int, int]:
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                break
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return p, d
-    raise ValueError(f"q={q} is not a prime power")
+    # the least divisor above 1 is prime
+    p = next(k for k in range(2, q + 1) if q % k == 0)
+    d, m = 0, q
+    while m % p == 0:
+        m //= p
+        d += 1
+    if m != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    return p, d
 
 
 @lru_cache(maxsize=None)

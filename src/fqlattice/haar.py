@@ -37,12 +37,8 @@ def nonsharp_hemisphere_mass(q: int) -> Fraction:
 
 
 def quotient_mass(q: int) -> Fraction:
-    """Measure of the translation quotient of the completion (genus zero)."""
-    return Fraction(1, q)
-
-
-def domain_mass(q: int) -> Fraction:
-    """Measure of the open unit ball used as fundamental domain."""
+    """Measure of the translation quotient of the completion (genus zero),
+    that is of the open unit ball used as fundamental domain."""
     return Fraction(1, q)
 
 
@@ -226,9 +222,6 @@ class Mat2(NamedTuple):
     def is_integral(self) -> bool:
         return all(f.is_zero() or f.valuation() >= 0
                    for f in (self.a, self.b, self.c, self.d))
-
-    def entries(self) -> Tuple[RationalFn, RationalFn, RationalFn, RationalFn]:
-        return (self.a, self.b, self.c, self.d)
 
 
 class LuFactors(NamedTuple):

@@ -218,20 +218,12 @@ def build_id() -> str:
 
 
 def _config_echo(cfg: RunConfig) -> Dict[str, object]:
-    # the output location does not influence any reported value
-    return {
-        "q": cfg.q,
-        "modulus": list(cfg.modulus) if cfg.modulus else None,
-        "n_min": cfg.n_min,
-        "n_max": cfg.n_max,
-        "depth_m": cfg.depth_m,
-        "depth_mp": cfg.depth_mp,
-        "ideal": cfg.ideal,
-        "experiment": cfg.experiment,
-        "dump": cfg.dump,
-        "guard": cfg.guard,
-        "cell_floor": cfg.cell_floor,
-    }
+    # the RunConfig fields in order; the output format and location do not
+    # influence any reported value
+    echo = cfg._asdict()
+    del echo["fmt"], echo["out"]
+    echo["modulus"] = list(cfg.modulus) if cfg.modulus else None
+    return echo
 
 
 def _jsonable(v):

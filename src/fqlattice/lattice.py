@@ -36,24 +36,6 @@ from .laurent import (
 )
 
 
-def is_primitive(v: LatticeVec) -> bool:
-    if v.a.is_zero() and v.b.is_zero():
-        return False
-    return is_coprime(v.a, v.b)
-
-
-def lattice_norm_exp(v: LatticeVec) -> int:
-    da = v.a.degree if not v.a.is_zero() else None
-    db = v.b.degree if not v.b.is_zero() else None
-    if da is None and db is None:
-        raise ValueError("zero vector")
-    if da is None:
-        return db
-    if db is None:
-        return da
-    return max(da, db)
-
-
 def lattice_is_sharp(v: LatticeVec) -> bool:
     """|a| >= |b| with the zero component convention |0| = 0."""
     if v.a.is_zero():

@@ -11,6 +11,7 @@ import pytest
 
 import fqlattice
 from fqlattice.cli import build_parser, config_from_args, main, parse_args
+from fqlattice.harness import RunConfig
 
 
 def run(argv, capsys):
@@ -100,6 +101,14 @@ class TestExitCodes:
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err
 
+    @pytest.mark.parametrize("text,digit", [("3,3,1", 3), ("1_0,1,1", 10)])
+    def test_modulus_digits_not_reduced_mod_p(self, capsys, text, digit):
+        # 3,3,1 is not T^2+T+1 read mod 2, and 1_0 is not 0
+        code, out, err = run(["count", "--q", "4", "--modulus", text], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"configuration error: modulus coefficient {digit} at "
+                       "position 0 is not a digit 0..1 of GF(2)\n")
+
     def test_out_directory_missing(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
@@ -169,8 +178,8 @@ def reference_parser() -> argparse.ArgumentParser:
                        help="materialize point lists for levels n <= 4")
         p.add_argument("--guard", type=int, default=10 ** 8,
                        help="refuse runs whose work estimate "
-                            "q^(2*n_max+2+deg gen), or whose report table "
-                            "rows, exceed this bound")
+                            "q^(2*n_max+2+deg gen), report table rows or "
+                            "--dump cell list rows exceed this bound")
         p.add_argument("--cell-floor", type=int, default=8,
                        help="warn when expected counts per cell drop below "
                             "this floor")
@@ -277,6 +286,26 @@ class TestOutputs:
         _, _, err = run(["joint", "--n-min", "1", "--n-max", "1",
                          "--depth-mp", "4"], capsys)
         assert "depth warning" in err
+
+    def test_config_echo_lists_the_modulus(self, capsys):
+        argv = ["joint", "--q", "4", "--modulus", "1,1,1", "--n-max", "1"]
+        _, out, _ = run(argv, capsys)
+        assert "# config q=4 modulus=[1, 1, 1] n_min=1 " in out
+        _, out, _ = run(argv + ["--format", "json"], capsys)
+        assert json.loads(out)["config"]["modulus"] == [1, 1, 1]
+
+    def test_config_echo_of_a_prime_field(self, capsys):
+        _, out, _ = run(["joint", "--q", "3", "--n-max", "1"], capsys)
+        assert "# config q=3 modulus=- n_min=1 " in out
+        _, out, _ = run(["joint", "--q", "3", "--n-max", "1", "--format", "json"], capsys)
+        assert json.loads(out)["config"]["modulus"] is None
+
+    def test_config_echo_keys_are_the_run_config_fields(self, capsys):
+        # every field in RunConfig order, less the output format and path
+        _, out, _ = run(["cfe", "--n-max", "1"], capsys)
+        echo = next(l for l in out.splitlines() if l.startswith("# config "))
+        keys = [item.split("=", 1)[0] for item in echo[len("# config "):].split(" ")]
+        assert keys == [f for f in RunConfig._fields if f not in ("fmt", "out")]
 
     def test_bijection_subcommand(self, capsys):
         code, out, err = run(["bijection", "--ideal", "Y"], capsys)

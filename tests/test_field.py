@@ -6,7 +6,15 @@ from fqlattice.field import (
     Fq, Poly, Ideal, NEG_INF, POS_INF, get_field, poly_gcd, poly_xgcd,
     is_coprime, polys_of_degree, polys_up_to_degree, irreducibles_of_degree,
     is_irreducible, factor, poly_from_text, pretty_poly, text_degree,
+    _prime_power_split,
 )
+
+# explicit moduli over GF(2), GF(3) and GF(5), besides the built-in ones
+EXPLICIT_MODULI = [
+    (4, (1, 1, 1)), (8, (1, 0, 1, 1)), (9, (2, 2, 1)), (9, (2, 1, 1)),
+    (16, (1, 1, 0, 0, 1)), (25, (2, 0, 1)), (27, (1, 2, 0, 1)),
+    (32, (1, 0, 1, 0, 0, 1)),
+]
 
 
 def necklace_count(q, d):
@@ -44,8 +52,8 @@ class TestFieldTables:
 
     def test_gf4_generator_relation(self):
         F = Fq(4)
-        t = 2  # coords (0, 1)
-        assert F.coords(t) == (0, 1)
+        t = 2  # digits (0, 1): the class of T
+        assert F.element_text(t) == "10"
         assert F.mul(t, t) == 3  # t^2 = t + 1
         assert F.add(t, 1) == 3
 
@@ -54,7 +62,7 @@ class TestFieldTables:
         t = 2
         assert F8.mul(F8.mul(t, t), t) == 3  # t^3 = t + 1
         F9 = Fq(9)
-        u = 3  # coords (0, 1)
+        u = 3  # digits (0, 1)
         assert F9.mul(u, u) == 2  # u^2 = -1
 
     def test_extension_field_axioms(self):
@@ -82,6 +90,48 @@ class TestFieldTables:
                     if p == 2:
                         assert F.mul(s, s) == F.add(fa, fb)
 
+    @pytest.mark.parametrize("q,modulus", EXPLICIT_MODULI)
+    def test_explicit_modulus_tables(self, q, modulus):
+        F = Fq(q, modulus=modulus)
+        t = F.p  # digits (0, 1): the class of T
+        acc = 0  # the modulus at T, by Horner; GF(p) sits in the codes 0..p-1
+        for m in reversed(modulus):
+            acc = F.add(F.mul(acc, t), m)
+        assert acc == 0
+        assert all(F.add(a, F.neg(a)) == 0 for a in range(q))
+        for a in range(1, q):
+            assert F.mul(a, F.inv(a)) == 1
+        for a in range(q):
+            for b in range(q):
+                s, row_a, row_b = F.add(a, b), F.mul_t[a], F.mul_t[b]
+                assert all(F.mul(s, c) == F.add(row_a[c], row_b[c]) for c in range(q))
+
+    @pytest.mark.parametrize("modulus,bad,position", [
+        ((3, 3, 1), 3, 0), ((1, 1, 2), 2, 2), ((-1, 1, 1), -1, 0),
+        ((1,) * 1000 + (5,), 5, 1000)])
+    def test_modulus_digits_not_reduced_mod_p(self, modulus, bad, position):
+        with pytest.raises(ValueError) as info:
+            Fq(4, modulus=modulus)
+        assert str(info.value) == (f"modulus coefficient {bad} at position "
+                                   f"{position} is not a digit 0..1 of GF(2)")
+
+    def test_reducible_modulus_refused(self):
+        # T^2 + 3 = (T - 2)(T + 2) over GF(7)
+        with pytest.raises(ValueError, match="modulus is reducible over GF"):
+            Fq(49, modulus=(3, 0, 1))
+
+    @pytest.mark.parametrize("q,message", [
+        (1, "q must be a prime power >= 2"), (6, "q=6 is not a prime power"),
+        (12, "q=12 is not a prime power"), (91, "q=91 is not a prime power")])
+    def test_prime_power_split_refusals(self, q, message):
+        with pytest.raises(ValueError) as info:
+            _prime_power_split(q)
+        assert str(info.value) == message
+
+    def test_prime_power_split(self):
+        assert [_prime_power_split(q) for q in (97, 128, 243)] == [
+            (97, 1), (2, 7), (3, 5)]
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             Fq(6)
@@ -91,11 +141,6 @@ class TestFieldTables:
             Fq(4, modulus=(1, 0, 1))  # T^2 + 1 = (T+1)^2 over GF(2)
         with pytest.raises(ValueError):
             Fq(2, modulus=(1, 1))
-
-    def test_coords_roundtrip(self):
-        F = Fq(9)
-        for a in range(9):
-            assert F.from_coords(F.coords(a)) == a
 
 
 class TestDegreeSentinels:

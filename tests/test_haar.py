@@ -6,7 +6,7 @@ import pytest
 from fqlattice.field import Fq, Ideal, polys_of_degree, polys_up_to_degree, poly_from_text
 from fqlattice.haar import (
     BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor, counting_main_term,
-    covolume, domain_mass, expected_box_count, hecke_index, hecke_index_bruteforce,
+    covolume, expected_box_count, hecke_index, hecke_index_bruteforce,
     kernel_ball_measure, kernel_elements, nonsharp_hemisphere_mass, refined_lu,
     sharp_hemisphere_mass, sl2_order_bruteforce, sl2_order_mod, sphere_mass,
     quotient_mass, zeta_minus1,
@@ -28,7 +28,7 @@ class TestClosedForms:
         assert sphere_mass(2) == Fraction(3, 4)
         assert sphere_mass(3) == Fraction(8, 9)
         assert quotient_mass(2) == Fraction(1, 2)
-        assert domain_mass(3) == Fraction(1, 3)
+        assert quotient_mass(3) == Fraction(1, 3)
         for q in (2, 3, 4):
             assert sharp_hemisphere_mass(q) + nonsharp_hemisphere_mass(q) == sphere_mass(q)
 
@@ -73,7 +73,7 @@ class TestClosedForms:
     def test_box_measure(self):
         spec = BoxSpec(0, Fraction(3, 8), Fraction(1, 2))
         assert box_measure(2, spec) == Fraction(1, 4)
-        full = BoxSpec(1, sphere_mass(2), domain_mass(2))
+        full = BoxSpec(1, sphere_mass(2), quotient_mass(2))
         assert box_measure(2, full) == Fraction(16, 3) * Fraction(3, 4) * Fraction(1, 2)
 
     def test_box_measure_additivity(self):
@@ -83,7 +83,7 @@ class TestClosedForms:
                     n = 2
                     cells = q ** (2 * m - 2) * (q * q - 1) * q ** (mp - 1)
                     cell = BoxSpec(n, Fraction(1, q ** (2 * m)), Fraction(1, q ** mp))
-                    full = BoxSpec(n, sphere_mass(q), domain_mass(q))
+                    full = BoxSpec(n, sphere_mass(q), quotient_mass(q))
                     assert cells * box_measure(q, cell) == box_measure(q, full)
 
     def test_expected_box_count_consistency(self):
@@ -206,7 +206,7 @@ class TestKernelElements:
         for k in ks:
             assert k.det() == one
             # congruent to the identity to depth N
-            for entry, target in zip(k.entries(), Mat2.identity(field).entries()):
+            for entry, target in zip(k, Mat2.identity(field)):
                 diff = entry - target
                 assert diff.is_zero() or diff.valuation() >= N
 
@@ -214,6 +214,6 @@ class TestKernelElements:
         field, N = F2, 2
         seen = set()
         for k in kernel_elements(field, N):
-            sig = tuple(e.expand(N + 1).items for e in k.entries())
+            sig = tuple(e.expand(N + 1).items for e in k)
             seen.add(sig)
         assert len(seen) == field.q ** 3
