@@ -2,15 +2,16 @@
 
 Exit codes: 0 when the run completes and every hard assertion holds, 1 when a
 verification row, bijection case, or joint trend check fails, 2 for
-configuration errors (including the work and row guards and an `--out` whose
-directory does not exist) and for a report that cannot be written.
+configuration errors (including the work and row guards and an `--out` that
+names no file or whose directory does not exist) and for a report that cannot
+be written.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .field import echo_text
@@ -19,9 +20,35 @@ from .harness import (ConfigError, Report, RunConfig, RUNNERS, render_report,
 
 EXPERIMENTS = ("count", "joint", "cfe", "verify", "bijection")
 
+# the options every subcommand takes: flag, dest, kind, default, help, choices;
+# config_from_args fills the level range
+OPTIONS = (
+    ("--q", "q", int, 2, "field size, a prime power (default 2)", None),
+    ("--modulus", "modulus", str, None,
+     "comma-separated modulus coefficients for non-prime q, constant term first", None),
+    ("--n-min", "n_min", int, None, None, None),
+    ("--n-max", "n_max", int, None, None, None),
+    ("--depth-m", "depth_m", int, 1, "direction cylinder depth (default 1)", None),
+    ("--depth-mp", "depth_mp", int, 2, "solution cylinder depth (default 2)", None),
+    ("--ideal", "ideal", str, "1",
+     "ideal generator as polynomial text, e.g. 'Y' or 'Y^2+Y+1' (default 1)", None),
+    ("--workers", "workers", int, 1,
+     "accepted (must be >= 1) but has no effect: count, joint and cfe run in "
+     "one process", None),
+    ("--format", "fmt", str, "csv", None, ("csv", "json")),
+    ("--out", "out", str, None, "output path (default stdout)", None),
+    ("--dump", "dump", bool, False, "materialize point lists for levels n <= 4", None),
+    ("--guard", "guard", int, 10 ** 8,
+     "refuse runs whose work estimate q^(2*n_max+2+deg gen), report table rows "
+     "or --dump cell list rows exceed this bound", None),
+    ("--cell-floor", "cell_floor", int, 8,
+     "warn when expected counts per cell drop below this floor", None),
+)
+_BY_FLAG = {option[0]: option for option in OPTIONS}
+
 
 def _parse_modulus(text: Optional[str]):
-    if not text:
+    if text is None:
         return None
     try:
         return tuple(int(c) for c in text.split(","))
@@ -30,42 +57,14 @@ def _parse_modulus(text: Optional[str]):
                           "coefficient digits, constant first") from e
 
 
-def _options() -> argparse.ArgumentParser:
-    # options shared by every subcommand; config_from_args fills the level range
+def build_parser():
+    """The argparse tree over OPTIONS; it writes every help text and usage
+    error, and reads abbreviated flags and `--`."""
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=2,
-                        help="field size, a prime power (default 2)")
-    common.add_argument("--modulus", default=None,
-                        help="comma-separated modulus coefficients for "
-                             "non-prime q, constant term first")
-    common.add_argument("--n-min", type=int, default=None)
-    common.add_argument("--n-max", type=int, default=None)
-    common.add_argument("--depth-m", type=int, default=1,
-                        help="direction cylinder depth (default 1)")
-    common.add_argument("--depth-mp", type=int, default=2,
-                        help="solution cylinder depth (default 2)")
-    common.add_argument("--ideal", default="1",
-                        help="ideal generator as polynomial text, e.g. 'Y' or "
-                             "'Y^2+Y+1' (default 1)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted (must be >= 1) but has no effect: "
-                             "count, joint and cfe run in one process")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--dump", action="store_true",
-                        help="materialize point lists for levels n <= 4")
-    common.add_argument("--guard", type=int, default=10 ** 8,
-                        help="refuse runs whose work estimate "
-                             "q^(2*n_max+2+deg gen), report table rows or "
-                             "--dump cell list rows exceed this bound")
-    common.add_argument("--cell-floor", type=int, default=8,
-                        help="warn when expected counts per cell drop below "
-                             "this floor")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _options()
+    for flag, dest, kind, default, text, choices in OPTIONS:
+        how = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+        common.add_argument(flag, dest=dest, default=default, help=text, **how)
     parser = argparse.ArgumentParser(
         prog="fqlattice",
         description="Exact experiments on primitive lattice points over "
@@ -81,19 +80,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """One subcommand's parser when argv starts with one; the whole tree
-    otherwise, or for arguments left over, so argparse words the error."""
+def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for a plain call: a subcommand, then only
+    `--dump`, exact flags each followed by a value, and `--flag=value`, where
+    no value starts with '-', `--format` names one of its choices and int
+    values read by int() as argparse's type=int reads them.  None for any
+    other argv, which argparse then parses."""
+    if not argv or argv[0] not in EXPERIMENTS:
+        return None
+    args = SimpleNamespace(experiment=argv[0],
+                           **{dest: default for _, dest, _, default, _, _ in OPTIONS})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in _BY_FLAG:
+            return None
+        _, dest, kind, _, _, choices = _BY_FLAG[flag]
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # a missing value falls back as a '-' one
+            if value.startswith("-") or (choices and value not in choices):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        setattr(args, dest, value)
+    return args
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+    """A plain call read from OPTIONS; argparse for every other argv, so
+    only help and errors pay for building it."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in EXPERIMENTS:
-        parser = argparse.ArgumentParser(prog=f"fqlattice {argv[0]}", parents=[_options()])
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(experiment=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    return _parse_plain(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: SimpleNamespace) -> RunConfig:
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
     if args.dump and args.experiment not in ("count", "joint"):

@@ -100,10 +100,10 @@ class Fq:
                     raise ValueError(f"modulus coefficient {c} at position {k} "
                                      f"is not a digit 0..{p - 1} of GF({p})")
             if len(modulus) != d + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree d over GF(p)")
+                raise ValueError(f"modulus must be monic of degree {d} over GF({p})")
             m = Poly(get_field(p), modulus)
             if not is_irreducible(m):
-                raise ValueError("modulus is reducible over GF(p)")
+                raise ValueError(f"modulus is reducible over GF({p})")
             self.modulus = modulus
             self._build_tables(m)
         self._poly_cache = {}

@@ -151,9 +151,12 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
         raise ConfigError("cylinder depths must be >= 1")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
-    out_dir = None if cfg.out is None else Path(cfg.out).parent
-    if out_dir is not None and not os.path.isdir(out_dir):
-        raise ConfigError(f"output directory {echo_text(str(out_dir))} does not exist")
+    if cfg.out is not None:
+        out = Path(cfg.out)
+        if not out.name:
+            raise ConfigError(f"output path {echo_text(cfg.out)} names no file")
+        if not os.path.isdir(out.parent):
+            raise ConfigError(f"output directory {echo_text(str(out.parent))} does not exist")
     if cfg.q < 2:
         raise ConfigError("q must be a prime power >= 2")
     top = _guard_exponent(cfg.q, cfg.guard)

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, output routing, dump files."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fqlattice
-from fqlattice.cli import build_parser, config_from_args, main, parse_args
-from fqlattice.harness import RunConfig
+from fqlattice.cli import EXPERIMENTS, build_parser, config_from_args, main, parse_args
+from fqlattice.harness import ConfigError, RunConfig
 
 
 def run(argv, capsys):
@@ -101,6 +104,14 @@ class TestExitCodes:
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err
 
+    @pytest.mark.parametrize("tail", [["--modulus", ""], ["--modulus="]])
+    def test_empty_modulus_refused(self, capsys, tail):
+        # an empty text is not the built-in modulus
+        code, out, err = run(["count", "--q", "4"] + tail, capsys)
+        assert code == 2 and out == ""
+        assert err == ("configuration error: bad modulus '': expected "
+                       "comma-separated coefficient digits, constant first\n")
+
     @pytest.mark.parametrize("text,digit", [("3,3,1", 3), ("1_0,1,1", 10)])
     def test_modulus_digits_not_reduced_mod_p(self, capsys, text, digit):
         # 3,3,1 is not T^2+T+1 read mod 2, and 1_0 is not 0
@@ -118,6 +129,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "configuration error" in err and "does not exist" in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("target", ["", ".", "/"])
+    def test_out_names_no_file(self, capsys, monkeypatch, target):
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        code, out, err = run(["count", "--out", target], capsys)
+        assert code == 2 and out == ""
+        assert err == f"configuration error: output path {target!r} names no file\n"
 
     def test_out_unwritable(self, tmp_path, capsys):
         # --out naming a directory fails in the write itself
@@ -186,6 +206,39 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
+FLAGS = ("--q", "--modulus", "--n-min", "--n-max", "--depth-m", "--depth-mp",
+         "--ideal", "--workers", "--format", "--out", "--dump", "--guard",
+         "--cell-floor", "--n-m", "--cell")
+VALUES = ("2", "3", "json", "Y+1", "1,1,1")
+ODD_VALUES = (" 7", "+3", "1_0", "\u0663", "-1", "-Y", "", "x", "1e8")
+
+
+def argvs():
+    """A subcommand, then exact and abbreviated flags with values, the
+    `--flag=value` form, and the bare tokens `--dump`, `-h` and `--`."""
+    value = st.one_of(st.sampled_from(VALUES), st.sampled_from(ODD_VALUES))
+    pair = st.tuples(st.sampled_from(FLAGS), value)
+    piece = st.one_of(pair.map(list), pair.map(lambda fv: ["=".join(fv)]),
+                      st.sampled_from([["--dump"], ["-h"], ["--"]]))
+    return st.builds(lambda name, pieces: [name] + sum(pieces, []),
+                     st.sampled_from(EXPERIMENTS), st.lists(piece, max_size=4))
+
+
+def _outcome(parse, argv):
+    """The RunConfig of an argv, its ConfigError text, or its exit code
+    with what the parser printed."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            args = parse(argv)
+    except SystemExit as stop:
+        return stop.code, printed.getvalue()
+    try:
+        return config_from_args(args)
+    except ConfigError as e:
+        return str(e)
+
+
 class TestParser:
     """The shared option set reads, errs and defaults exactly as the
     reference parser does, on whatever argparse is installed."""
@@ -208,6 +261,8 @@ class TestParser:
         ["bijection", "--bogus"], ["cfe", "--n-max"],
         ["count", "stray"], ["joint", "--n-m", "3"], ["-h"],
         ["--q", "2", "count"], ["joint", "--", "x"],
+        ["count", "--dump=1"], ["count", "--q="], ["joint", "--ideal", "-Y"],
+        ["count", "--q"],
     ])
     def test_output_matches_reference(self, capsys, argv):
         new = self.exits(main, argv, capsys)
@@ -236,6 +291,28 @@ class TestParser:
             2, None, 1, 2, "1")
         assert (cfg.fmt, cfg.out, cfg.dump, cfg.guard, cfg.cell_floor) == (
             "csv", None, False, 10 ** 8, 8)
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    @example(["count", "--n-m", "2"])
+    @example(["cfe", "--cell", "4"])
+    @example(["joint", "--q", "1e8"])
+    def test_parse_matches_reference(self, argv):
+        # a call the plain parser accepts must read as argparse reads it;
+        # any other goes to argparse, which must err or read the same
+        assert _outcome(parse_args, argv) == _outcome(reference_parser().parse_args, argv)
+
+    def test_plain_calls_build_no_argparse(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse was built")
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        out = ["--out", str(tmp_path / "r.csv")]
+        for argv in (["count", "--q", "3", "--ideal", "Y+1", "--workers", "1"],
+                     ["joint", "--n-min=2", "--n-max", "3", "--dump", "--format", "json"],
+                     ["cfe", "--depth-mp=3", "--guard", "1000", "--cell-floor", "2"]):
+            assert main(argv + out) == 0
+        with pytest.raises(AssertionError, match="argparse was built"):
+            main(["count", "--n-m", "2"] + out)
 
     def test_defaults_do_not_leak_between_subcommands(self):
         parser = build_parser()
@@ -353,7 +430,8 @@ def test_import_loads_no_dataclasses_or_inspect():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import fqlattice.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect'}"
+        " & (set(sys.modules) - before)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

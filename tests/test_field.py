@@ -117,8 +117,20 @@ class TestFieldTables:
 
     def test_reducible_modulus_refused(self):
         # T^2 + 3 = (T - 2)(T + 2) over GF(7)
-        with pytest.raises(ValueError, match="modulus is reducible over GF"):
+        with pytest.raises(ValueError, match="modulus is reducible over GF") as info:
             Fq(49, modulus=(3, 0, 1))
+        assert str(info.value) == "modulus is reducible over GF(7)"
+
+    @pytest.mark.parametrize("q,modulus,message", [
+        (4, (1, 1), "modulus must be monic of degree 2 over GF(2)"),
+        (4, (1, 1, 1, 1), "modulus must be monic of degree 2 over GF(2)"),
+        (27, (1, 2, 0, 2), "modulus must be monic of degree 3 over GF(3)"),
+        (8, (1, 0, 1), "modulus must be monic of degree 3 over GF(2)"),
+        (16, (1, 0, 0, 0, 1), "modulus is reducible over GF(2)")])
+    def test_modulus_messages_name_the_field(self, q, modulus, message):
+        with pytest.raises(ValueError) as info:
+            Fq(q, modulus=modulus)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("q,message", [
         (1, "q must be a prime power >= 2"), (6, "q=6 is not a prime power"),
