@@ -11,6 +11,7 @@ determinant census.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, NamedTuple, Tuple
 
 from .field import Fq, Ideal, Poly, poly_gcd, polys_up_to_degree
@@ -42,6 +43,7 @@ def quotient_mass(q: int) -> Fraction:
     return Fraction(1, q)
 
 
+@lru_cache(maxsize=None)
 def hecke_index(I: Ideal) -> int:
     """Index of the congruence subgroup with lower-left entry in I."""
     out = Fraction(I.norm)

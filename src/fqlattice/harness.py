@@ -27,11 +27,18 @@ residues mod its generator; each node key is a function of the state.  w is
 max(m, mp - 1) for joint, max(1, mp - 1) for cfe (lead(Q_k) is in its key)
 and 0 for count.  The gap is capped at w + 1, not w: a gap of exactly
 mp - 1 = w still puts a nonzero digit at depth mp - 1, so only gaps beyond
-w behave alike.  `_tree_block`, the walk of `lattice.euclid_tree` node by
-node, is the DP's oracle in the tests.  Level 0 keeps the vector-by-vector
-path.  Everything runs in one process.  Serialized reports echo only the
-result-relevant configuration (output path and wall time stay out of the
-files).
+w behave alike.  The transfer does not depend on the level, so it is
+compiled once: a state becomes an int, with its key, when first reached, and
+its successors are built once per quotient degree d <= d0 = max(w + 1,
+deg gen + max(w, 1) - 1).  From d0 on the gap is capped, the windows miss
+Q_{k-1} and the residue is uniform over each class, so a degree d >= d0
+leads to the successors of d0, q^(d - d0) times as often; those arrivals go
+into a carry, carry[L] = q carry[L - 1] + (arrivals from degree d0 at L).  A
+run costs one compile of states x classes x d0, then levels x successor
+edges.  `_tree_block`, the walk of `lattice.euclid_tree` node by node, is
+the DP's oracle in the tests.  Level 0 keeps the vector-by-vector path.
+Everything runs in one process.  Serialized reports echo only the
+configuration that shapes the result (output path and wall time stay out).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import math
 import os
 import subprocess
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -155,6 +162,8 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
         out = Path(cfg.out)
         if not out.name:
             raise ConfigError(f"output path {echo_text(cfg.out)} names no file")
+        if os.path.isdir(out):
+            raise ConfigError(f"output path {echo_text(cfg.out)} is a directory")
         if not os.path.isdir(out.parent):
             raise ConfigError(f"output directory {echo_text(str(out.parent))} does not exist")
     if cfg.q < 2:
@@ -368,7 +377,7 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
 def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                       kind: str, m: int, mp: int) -> Dict[int, Counter]:
     """The tallies of _tree_block, counted per (level, state) by the
-    transfer DP of the module docstring instead of node by node.  The
+    compiled transfer of the module docstring instead of node by node.  The
     quotients a of degree d act in classes (top w digits, a mod gen) with a
     multiplicity each; the residue is uniform over a class once a has
     deg gen free digits below its window (below its lead when w = 0)."""
@@ -378,6 +387,7 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     wp = m if kind == "joint" else 0
     cap = w + 1
     g = 0 if gen is None else gen.degree
+    d0 = max(w + 1, g + max(w, 1) - 1)
     # residues as small ints: the index of the residue in this list
     residues = list(polys_up_to_degree(field, g - 1)) if g else [field.zero]
     code = {p.coeffs: i for i, p in enumerate(residues)}
@@ -409,35 +419,9 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
             out.append(c)
         return tuple(out)
 
-    steps: Dict[tuple, tuple] = {}
-
     @lru_cache(maxsize=None)
     def affine(rho, x, y):
         return code[((residues[rho] * residues[x] + residues[y]) % gen).coeffs]
-
-    def res_step(rho, res):
-        """(rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen."""
-        steps[(rho, res)] = new = (affine(rho, res[0], res[2]),
-                                   affine(rho, res[1], res[3]), res[0], res[1])
-        return new
-
-    # k = 0: P_0 = 0 and Q_0 = 1, with P_{-1} = 1 and Q_{-1} = 0 at gap 0,
-    # so that a first quotient a gives P_1 = 1 and Q_1 = a
-    one = (1,) + (0,) * w
-    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1],
-             (0, code[(1,)], code[(1,)], 0) if gen is not None else ())
-    by_degree = [()] + [classes(d) for d in range(1, n_max + 1)]
-    levels: List[Counter] = [Counter() for _ in range(n_max + 1)]
-    levels[0][start] = 1
-    for D in range(n_max):
-        for (P, Q, P_prev, Q_prev, gap, sign, res), count in levels[D].items():
-            flip = neg[sign]
-            for d in range(1, n_max - D + 1):
-                nxt, shift, new_gap = levels[D + d], gap + d, min(d, cap)
-                for A, rho, mult in by_degree[d]:
-                    new_res = res and (steps.get((rho, res)) or res_step(rho, res))
-                    nxt[(window(A, P, P_prev, shift, wp), window(A, Q, Q_prev, shift, w),
-                         P, Q, new_gap, flip, new_res)] += count * mult
 
     def head(Q, Q_prev, gap, sign):
         """Digits 1..mp-1 of r^-1/s = sign lead^2 Q_{k-1}/Q_k: the series
@@ -452,28 +436,72 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
             c.append(mul[x][unlead])
         return (0,) * min(gap - 1, mp - 1) + tuple(mul[scale][x] for x in c)
 
-    orbits: Dict[Tuple[int, ...], tuple] = {}
-
+    @lru_cache(maxsize=None)
     def orbit(rp, rq):
-        if (rp, rq) not in orbits:
-            orbits[(rp, rq)] = _ideal_orbit(residues[rp], residues[rq], gen)
-        return orbits[(rp, rq)]
+        return _ideal_orbit(residues[rp], residues[rq], gen)
 
-    every_mu = tuple(range(q))
+    def key_of(P, Q, _, Q_prev, gap, sign, res):
+        """The node key of a state, or None for a cfe node outside the ideal."""
+        if kind == "cfe":
+            if gen is not None and res[0]:
+                return None
+            return (head(Q, Q_prev, gap, sign), Q[0])
+        key = (tuple(range(q)), True) if gen is None else orbit(*res[:2])
+        if kind == "joint":
+            unlead = mul[inv_t[Q[0]]]
+            key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
+                   head(Q, Q_prev, gap, sign)) + key
+        return key
+
+    # k = 0, state 0 and no node: P_0 = 0 and Q_0 = 1, with P_{-1} = 1 and
+    # Q_{-1} = 0 at gap 0, so that a first quotient a gives P_1 = 1, Q_1 = a
+    one = (1,) + (0,) * w
+    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1],
+             (0, code[(1,)], code[(1,)], 0) if gen is not None else ())
+    # the compiled transfer: state ids, their states and keys, and the
+    # successors [(target id, multiplicity)] by (state id, degree d <= d0)
+    ids, states, keys = {start: 0}, [start], [None]
+    successors: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+
+    def intern(state):
+        sid = ids.setdefault(state, len(states))
+        if sid == len(states):
+            states.append(state)
+            keys.append(key_of(*state))
+        return sid
+
+    def compile_step(sid, d):
+        P, Q, P_prev, Q_prev, gap, sign, res = states[sid]
+        shift, new_gap, flip = gap + d, min(d, cap), neg[sign]
+        out: Dict[int, int] = defaultdict(int)
+        for A, rho, mult in by_degree[d]:
+            # (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen
+            new_res = res and (affine(rho, res[0], res[2]),
+                               affine(rho, res[1], res[3]), res[0], res[1])
+            out[intern((window(A, P, P_prev, shift, wp), window(A, Q, Q_prev, shift, w),
+                        P, Q, new_gap, flip, new_res))] += mult
+        successors[(sid, d)] = edges = list(out.items())
+        return edges
+
+    by_degree = [()] + [classes(d) for d in range(1, min(d0, n_max) + 1)]
+    levels: List[Dict[int, int]] = [defaultdict(int) for _ in range(n_max + 1)]
+    levels[0][0] = 1
+    # carry[L]: arrivals at L from degrees >= d0, q carry[L-1] + those from d0
+    carry: List[Dict[int, int]] = [defaultdict(int) for _ in range(n_max + 1)]
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
-    for n in range(n_lo, n_max + 1):
-        for (P, Q, _, Q_prev, gap, sign, res), count in levels[n].items():
-            if kind == "cfe":
-                if gen is not None and res[0]:
-                    continue
-                key = (head(Q, Q_prev, gap, sign), Q[0])
-            else:
-                key = (every_mu, True) if gen is None else orbit(*res[:2])
-                if kind == "joint":
-                    unlead = mul[inv_t[Q[0]]]
-                    key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
-                           head(Q, Q_prev, gap, sign)) + key
-            tallies[n][key] += count
+    for D in range(n_max + 1):
+        if D:
+            for sid, count in carry[D - 1].items():
+                carry[D][sid] += q * count
+            for sid, count in carry[D].items():
+                levels[D][sid] += count
+        for sid, count in levels[D].items():
+            if D >= n_lo and keys[sid] is not None:
+                tallies[D][keys[sid]] += count
+            for d in range(1, min(d0, n_max - D) + 1):
+                nxt = levels[D + d] if d < d0 else carry[D + d]
+                for tid, mult in successors.get((sid, d)) or compile_step(sid, d):
+                    nxt[tid] += count * mult
     return tallies
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fqlattice
 from fqlattice.cli import EXPERIMENTS, build_parser, config_from_args, main, parse_args
+from fqlattice.field import echo_text
 from fqlattice.harness import ConfigError, RunConfig
 
 
@@ -139,13 +140,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"configuration error: output path {target!r} names no file\n"
 
-    def test_out_unwritable(self, tmp_path, capsys):
-        # --out naming a directory fails in the write itself
-        code, out, err = run(["count", "--n-max", "1", "--out", str(tmp_path)],
-                             capsys)
+    def test_out_names_directory(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        for target in ("..", str(tmp_path), str(tmp_path) + os.sep):
+            code, out, err = run(["count", "--out", target], capsys)
+            assert code == 2 and out == ""
+            assert err == ("configuration error: output path "
+                           f"{echo_text(target)} is a directory\n")
+
+    def test_out_unwritable(self, tmp_path, capsys, monkeypatch):
+        # a write that fails after the run, as on a read-only or full disk
+        def refuse(path, body):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "write_text", refuse)
+        target = tmp_path / "x.csv"
+        code, out, err = run(["count", "--n-max", "1", "--out", str(target)], capsys)
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
-        assert err.startswith("cannot write report: ") and str(tmp_path) in err
+        assert err.startswith("cannot write report: ") and str(target) in err
 
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ RationalFn and each cfe fraction's from penultimate_ratio.  Beyond the walk's
 reach, the DP's level totals are checked against closed forms.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -19,8 +20,8 @@ from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
 from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits,
-                               _transfer_tallies, _tree_block, run_cfe,
-                               run_count, run_joint)
+                               _orbit_size, _transfer_tallies, _tree_block,
+                               run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
                                solution_statistic, sphere_cells)
@@ -303,6 +304,66 @@ def test_gf2_block_tallies_match_generic(kind):
                 dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
                 assert dp == {n: t for n, t in walk.items() if n >= n_lo}, \
                     (gen, m, mp, n_lo)
+
+
+# (kind, q, ideal generator, highest level, m, mp) with the highest level at
+# least d0 + 2, where d0 = max(w + 1, deg gen + max(w, 1) - 1) is the
+# quotient degree from which on the DP sends arrivals into its carry
+CARRY_GRID = [
+    ("joint", 3, "1", 5, 2, 3),          # w = 2, d0 = 3
+    ("joint", 2, "Y^2+Y+1", 6, 3, 4),    # w = 3, d0 = 4
+    ("cfe", 3, "Y", 5, 1, 3),            # w = 2, d0 = 3
+    ("count", 3, "Y^2+1", 4, 1, 2),      # w = 0, d0 = 2
+]
+
+
+@pytest.mark.parametrize("kind,q,gen,n_max,m,mp", CARRY_GRID,
+                         ids=[f"{c[0]}-q{c[1]}-{c[2]}" for c in CARRY_GRID])
+def test_dp_matches_walk_past_the_carry(kind, q, gen, n_max, m, mp):
+    field = get_field(q)
+    g = Ideal(poly_from_text(field, gen)).gen
+    g = None if g.is_one() else g
+    walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+    for n_lo in (1, 2):
+        assert _transfer_tallies(field, g, n_lo, n_max, kind, m, mp) == \
+            {n: t for n, t in walk.items() if n >= n_lo}, n_lo
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 60), (3, 30)])
+def test_dp_deep_joint_totals(q, n_max):
+    # (q - 1) q^(2n - 1) nodes at level n, each under (q - 1)(q + 1) vectors
+    field = get_field(q)
+    for m, mp in ((1, 2), (2, 3)):
+        tallies = _transfer_tallies(field, None, 1, n_max, "joint", m, mp)
+        assert [_orbit_size(field, tallies[n]) for n in range(1, n_max + 1)] == \
+            [(q * q - 1) * (q - 1) * q ** (2 * n - 1) for n in range(1, n_max + 1)]
+
+
+def _window_calls(*args):
+    """Calls of the DP's nested `window`, counted from outside."""
+    calls = Counter()
+
+    def trace(frame, event, arg):
+        calls[frame.f_code.co_name] += 1
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _transfer_tallies(*args)
+    finally:
+        sys.settrace(outer)
+    return calls["window"]
+
+
+@pytest.mark.parametrize("q,gen,kind,m,mp", [(2, "Y+1", "joint", 2, 3),
+                                             (2, "Y^2+Y+1", "count", 1, 2)])
+def test_dp_compiles_each_step_once(q, gen, kind, m, mp):
+    # the state count stops growing by level 10, so past it no level builds
+    # a successor: the work in `window` is the same at 20 and at 40 levels
+    field = get_field(q)
+    g = poly_from_text(field, gen)
+    assert _window_calls(field, g, 1, 20, kind, m, mp) == \
+        _window_calls(field, g, 1, 40, kind, m, mp) > 0
 
 
 @st.composite
