@@ -16,20 +16,18 @@ from .haar import (BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor,
                    hecke_index, kernel_elements, sl2_order_mod, sphere_mass,
                    zeta_minus1)
 from .harness import RunConfig, run_bijection, run_cfe, run_count, run_joint, run_verify
-from .lattice import (DomainCell, EnumFilter, LatticeVec, SphereCell,
-                      companion_of, domain_cells, enumerate_primitive,
-                      gamma_of, primitive_vectors, solution_statistic,
-                      sphere_cells, verify_bijection)
+from .lattice import (DomainCell, LatticeVec, SphereCell, companion_of,
+                      domain_cells, gamma_of, primitive_vectors,
+                      solution_statistic, sphere_cells, verify_bijection)
 from .laurent import RationalFn
 
 __all__ = [
-    "BoxSpec", "DomainCell", "EnumFilter", "Fq", "Ideal", "LatticeVec",
-    "Mat2", "NEG_INF", "POS_INF", "Poly", "RationalFn", "RunConfig",
-    "SphereCell", "box_measure", "brute_force_shortest", "c_constant",
-    "cf_expand", "cf_value", "cfe_prefactor", "companion_of", "convergents",
-    "counting_main_term", "covolume", "domain_cells", "enumerate_primitive",
-    "expected_box_count", "gamma_of", "get_field", "hecke_index",
-    "kernel_elements", "penultimate_ratio", "poly_from_text",
+    "BoxSpec", "DomainCell", "Fq", "Ideal", "LatticeVec", "Mat2", "NEG_INF",
+    "POS_INF", "Poly", "RationalFn", "RunConfig", "SphereCell", "box_measure",
+    "brute_force_shortest", "c_constant", "cf_expand", "cf_value",
+    "cfe_prefactor", "companion_of", "convergents", "counting_main_term",
+    "covolume", "domain_cells", "expected_box_count", "gamma_of", "get_field",
+    "hecke_index", "kernel_elements", "penultimate_ratio", "poly_from_text",
     "primitive_vectors", "run_bijection", "run_cfe", "run_count", "run_joint",
     "run_verify", "shortest_solution", "sl2_order_mod", "solution_statistic",
     "sphere_cells", "sphere_mass", "verify_bijection", "zeta_minus1",

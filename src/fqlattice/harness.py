@@ -65,10 +65,9 @@ from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    expected_box_count, hecke_index, hecke_index_bruteforce,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
                    sl2_order_bruteforce, sphere_mass, BoxSpec)
-from .lattice import (EnumFilter, companion_of, count_membership_flips,
-                      domain_cells, enumerate_primitive, euclid_tree,
-                      matrix_side_enumerate, solution_statistic, sphere_cells,
-                      verify_bijection)
+from .lattice import (companion_of, count_membership_flips, domain_cells,
+                      euclid_tree, matrix_side_enumerate, primitive_vectors,
+                      solution_statistic, sphere_cells, verify_bijection)
 from .laurent import lattice_direction_digits, rat
 
 SCHEMA_VERSION = 1
@@ -551,11 +550,11 @@ def _level_zero(field: Fq, I: Ideal, m: int, mp: int, theta_ids: Dict,
     vector by vector: level 0 is the only level where the flag fires."""
     hist: Counter = Counter()
     exceptional = 0
-    for v in enumerate_primitive(field, EnumFilter(n=0, ideal=I)):
+    for v in primitive_vectors(field, 0, I):
         stat, exc = solution_statistic(v)
         exceptional += exc
         hist[(theta_ids[lattice_direction_digits(v, 0, m)],
-              dp_ids[stat.expand(mp).digits(1, mp)])] += 1
+              dp_ids[stat.expand(1, mp)])] += 1
     return hist, exceptional
 
 
@@ -649,7 +648,7 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
     rows = []
     ideal = None if I.gen.is_one() else I
     for n in dumpable:
-        for v in enumerate_primitive(field, EnumFilter(n=n, ideal=ideal)):
+        for v in primitive_vectors(field, n, ideal):
             w = companion_of(v)
             stat, _ = solution_statistic(v)
             rows.append({
@@ -657,7 +656,7 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
                 "w_x": str(w.a), "w_y": str(w.b),
                 "norm_exp": n,
                 "direction_cell": theta_ids[lattice_direction_digits(v, n, m)],
-                "solution_cell": dp_ids[stat.expand(mp).digits(1, mp)],
+                "solution_cell": dp_ids[stat.expand(1, mp)],
             })
     return rows
 
@@ -672,7 +671,7 @@ def run_count(cfg: RunConfig) -> Report:
     nodes = _level_tallies(cfg, field, I, "count")
     for n in levels:
         if n == 0:
-            total = sum(1 for _ in enumerate_primitive(field, EnumFilter(n=0, ideal=I)))
+            total = sum(1 for _ in primitive_vectors(field, 0, I))
         else:
             total = _orbit_size(field, nodes[n])
         main = counting_main_term(I, n)
@@ -788,14 +787,9 @@ def _elementary_sample(field: Fq, count: int) -> List[Mat2]:
     return out
 
 
-def run_verify(cfg: RunConfig,
-               overrides: Optional[Dict[str, Callable]] = None) -> Report:
+def run_verify(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
-    ov = overrides or {}
-    hecke = ov.get("hecke_index", hecke_index)
-    sl2 = ov.get("sl2_order_mod", sl2_order_mod)
-    shortest = ov.get("shortest_solution", shortest_solution)
     rows = []
 
     def add(name: str, formula: str, exact, oracle):
@@ -812,13 +806,13 @@ def run_verify(cfg: RunConfig,
         seen.add(gen.coeffs)
         J = Ideal(gen)
         add(f"hecke_index[I=({gen})]", "N(I)*prod(1+1/N(p))",
-            hecke(J), hecke_index_bruteforce(J))
+            hecke_index(J), hecke_index_bruteforce(J))
 
     for N in (1, 2):
         if field.q ** (4 * N) > 2_000_000:
             continue
         add(f"sl2_order[N={N}]", "q^(3N-2)*(q^2-1)",
-            sl2(field.q, N), sl2_order_bruteforce(field, N))
+            sl2_order_mod(field.q, N), sl2_order_bruteforce(field, N))
 
     sample = _elementary_sample(field, 60)
     bad = 0
@@ -857,7 +851,7 @@ def run_verify(cfg: RunConfig,
                 continue
             if a.is_constant() and b.is_constant():
                 continue
-            if shortest(a, b) != brute_force_shortest(a, b):
+            if shortest_solution(a, b) != brute_force_shortest(a, b):
                 sh_bad += 1
     add("shortest_solution[deg<=2]", "CF formula vs brute-force minimizer", 0, sh_bad)
 

@@ -10,15 +10,18 @@ enumerations are kept logically independent above the shared polynomial
 arithmetic so that comparing them is an actual check.
 
 Coprime pairs come two ways: `euclid_tree` builds them from continued
-fractions with their modular inverses and no gcd; `primitive_vectors` scans
-every pair with a gcd.  Both are oracles now.  The histogram runners count
-the tree's nodes by a transfer DP over the same convergent recurrence (see
-`harness`), and the tests check that DP against the walk of `euclid_tree`,
-key by key, and the walk against `primitive_vectors`.
+fractions with their modular inverses and no gcd; `primitive_vectors`, the
+one scan of primitive vectors, tests every pair with a gcd and optionally
+keeps those whose small component lies in an ideal.  Both are oracles now.
+The histogram runners count the tree's nodes by a transfer DP over the same
+convergent recurrence (see `harness`), and the tests check that DP against
+the walk of `euclid_tree`, key by key, and the walk against
+`primitive_vectors`.
 
 Cylinders are the finite-depth cells used for equidistribution bookkeeping:
 a sphere cell fixes the leading expansion digits of the direction of v, a
-domain cell fixes leading digits of an element of the open unit ball.
+domain cell fixes leading digits of an element of the open unit ball.  Each
+cell stores its digits, so membership is one `in_cell` test per coordinate.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from .field import Fq, Ideal, Poly, is_coprime, poly_xgcd, polys_of_degree, polys_up_to_degree
 from .haar import Mat2
 from .laurent import (
-    LatticeVec, LaurentWindow, PlaneVec, RationalFn, as_plane, in_ball,
-    is_sharp, lattice_direction_digits, pi_pow, rat, reduce_mod_R,
-    vec_norm_exp, window_from_digits, z_of,
+    LatticeVec, PlaneVec, RationalFn, as_plane, in_cell, is_sharp,
+    lattice_direction_digits, pi_pow, rat, reduce_mod_R, vec_norm_exp, z_of,
 )
 
 
@@ -81,19 +83,13 @@ class SphereCell(_SphereCellFields):
     def measure(self) -> Fraction:
         return Fraction(1, self.field.q ** (2 * self.depth))
 
-    def centers(self) -> Tuple[LaurentWindow, LaurentWindow]:
-        return (window_from_digits(self.field, 0, self.x_digits),
-                window_from_digits(self.field, 0, self.y_digits))
-
     def contains_lattice(self, v: LatticeVec, n: int) -> bool:
         return lattice_direction_digits(v, n, self.depth) == (self.x_digits, self.y_digits)
 
     def contains_plane(self, v: PlaneVec) -> bool:
-        k = vec_norm_exp(v)
-        scale = pi_pow(self.field, k)
-        cx, cy = self.centers()
-        return (in_ball(v.x * scale, cx, self.depth)
-                and in_ball(v.y * scale, cy, self.depth))
+        scale = pi_pow(self.field, vec_norm_exp(v))
+        return (in_cell(v.x * scale, 0, self.x_digits)
+                and in_cell(v.y * scale, 0, self.y_digits))
 
     def id_text(self) -> str:
         return (".".join(map(str, self.x_digits)) + "|"
@@ -120,11 +116,8 @@ class DomainCell(_DomainCellFields):
     def measure(self) -> Fraction:
         return Fraction(1, self.field.q ** self.depth)
 
-    def center(self) -> LaurentWindow:
-        return window_from_digits(self.field, 1, self.digits)
-
     def contains(self, f: RationalFn) -> bool:
-        return in_ball(f, self.center(), self.depth)
+        return in_cell(f, 1, self.digits)
 
     def id_text(self) -> str:
         return ".".join(map(str, self.digits)) if self.digits else "-"
@@ -153,24 +146,10 @@ def domain_cells(field: Fq, mp: int) -> List[DomainCell]:
 # ---------------------------------------------------------------------------
 
 
-class EnumFilter(NamedTuple):
-    """Restrictions applied while walking level-n primitive vectors.
-
-    ideal filters on the small component (the one away from the sup norm,
-    ties giving the second coordinate); direction_cell on the rescaled
-    vector; solution_cell on the companion ratio x_w / a, which is the
-    matrix-correspondence condition and therefore requires sharp vectors.
-    """
-
-    n: int
-    ideal: Optional[Ideal] = None
-    sharp: Optional[bool] = None
-    direction_cell: Optional[SphereCell] = None
-    solution_cell: Optional[DomainCell] = None
-
-
-def primitive_vectors(field: Fq, n: int) -> Iterator[LatticeVec]:
-    """Primitive vectors of sup norm exactly q^n, in canonical (a, b) order."""
+def primitive_vectors(field: Fq, n: int,
+                      ideal: Optional[Ideal] = None) -> Iterator[LatticeVec]:
+    """Primitive vectors of sup norm exactly q^n, in canonical (a, b) order;
+    with an ideal, only those whose small component lies in it."""
     if n < 0:
         raise ValueError("level must be >= 0")
     for a in polys_up_to_degree(field, n):
@@ -179,29 +158,16 @@ def primitive_vectors(field: Fq, n: int) -> Iterator[LatticeVec]:
         for b in bs:
             if a.is_zero() and b.is_zero():
                 continue
-            if is_coprime(a, b):
-                yield LatticeVec(a, b)
+            if not is_coprime(a, b):
+                continue
+            v = LatticeVec(a, b)
+            if ideal is None or ideal.contains(small_component(v)):
+                yield v
 
 
 def small_component(v: LatticeVec) -> Poly:
+    """The component away from the sup norm; ties give the second one."""
     return v.b if lattice_is_sharp(v) else v.a
-
-
-def enumerate_primitive(field: Fq, filt: EnumFilter) -> Iterator[LatticeVec]:
-    for v in primitive_vectors(field, filt.n):
-        if filt.sharp is not None and lattice_is_sharp(v) != filt.sharp:
-            continue
-        if filt.ideal is not None and not filt.ideal.contains(small_component(v)):
-            continue
-        if filt.direction_cell is not None and not filt.direction_cell.contains_lattice(v, filt.n):
-            continue
-        if filt.solution_cell is not None:
-            if not lattice_is_sharp(v):
-                continue
-            ratio = rat(w_of(v).a, v.a)
-            if not filt.solution_cell.contains(ratio):
-                continue
-        yield v
 
 
 def euclid_tree(field: Fq, n_max: int) -> Iterator[Tuple[Poly, Poly, Poly, int]]:
@@ -240,24 +206,19 @@ def euclid_tree(field: Fq, n_max: int) -> Iterator[Tuple[Poly, Poly, Poly, int]]
 # ---------------------------------------------------------------------------
 
 
-def w_of(v: LatticeVec, seed: Optional[Tuple[Poly, Poly]] = None) -> LatticeVec:
+def w_of(v: LatticeVec) -> LatticeVec:
     """The unique w with det(v | w) = 1 and x_w/a in the open unit ball.
 
-    Needs v primitive and sharp (so a != 0).  Any Bezout seed gives the same
-    w: solutions differ by multiples of v, and reducing x_w modulo a pins the
-    representative.
+    Needs v primitive and sharp (so a != 0).  Any Bezout solution gives the
+    same w: solutions differ by multiples of v, and reducing x_w modulo a
+    pins the representative.
     """
     a, b = v
     if a.is_zero():
         raise ValueError("companion needs a sharp vector with a != 0")
-    if seed is None:
-        g, x0, y0 = poly_xgcd(a, b)
-        if not g.is_one():
-            raise ValueError("vector is not primitive")
-    else:
-        x0, y0 = seed
-        if a * x0 + b * y0 != a.field.one:
-            raise ValueError("seed does not solve the Bezout equation")
+    g, x0, y0 = poly_xgcd(a, b)
+    if not g.is_one():
+        raise ValueError("vector is not primitive")
     # w0 = (-y0, x0) solves det(v | w0) = a*x0 + b*y0 = 1; translate by
     # multiples of v until the top entry is the remainder mod a
     q, r = divmod(-y0, a)
@@ -320,10 +281,9 @@ def box_contains(g: Mat2, n: int, theta: SphereCell, dprime: DomainCell) -> bool
     if not is_sharp(PlaneVec(alpha, beta)):
         return False
     scale = pi_pow(g.field, n)
-    cx, cy = theta.centers()
-    if not in_ball(alpha * scale, cx, theta.depth):
+    if not in_cell(alpha * scale, 0, theta.x_digits):
         return False
-    if not in_ball(beta * scale, cy, theta.depth):
+    if not in_cell(beta * scale, 0, theta.y_digits):
         return False
     return dprime.contains(g.b / alpha)
 
@@ -365,9 +325,10 @@ def verify_bijection(field: Fq, n: int, theta: SphereCell, dprime: DomainCell,
     """Compare the vector-side image {gamma_of(v)} with the matrix-side scan."""
     if not theta.sharp:
         raise ValueError("correspondence cells must sit in the sharp hemisphere")
-    filt = EnumFilter(n=n, ideal=ideal, sharp=True,
-                      direction_cell=theta, solution_cell=dprime)
-    lattice_side = [gamma_of(v) for v in enumerate_primitive(field, filt)]
+    # theta pins a nonzero digit of a at Y^n, so its vectors are sharp
+    lattice_side = [gamma_of(v) for v in primitive_vectors(field, n, ideal)
+                    if theta.contains_lattice(v, n)
+                    and dprime.contains(rat(w_of(v).a, v.a))]
     matrix_side = matrix_side_enumerate(field, n, theta, dprime, ideal)
     if not elementwise:
         eq = len(lattice_side) == len(matrix_side)

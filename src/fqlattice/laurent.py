@@ -5,7 +5,8 @@ absolute values are carried as plain integers on the log_q scale (ValueError
 territory is avoided by letting the zero element report POS_INF valuation and
 NEG_INF log-absolute-value, both ordering-only sentinels).  Rational functions
 are kept exact as reduced numerator/denominator pairs with monic denominator;
-a LaurentWindow is a finite, exact slice of the expansion of such an element.
+`expand` reads a finite, exact run of the expansion digits of such an element,
+and a cell of fixed leading digits is tested with `in_cell`.
 
 The ball of radius q^-1 around zero (series with no polynomial part) doubles
 as the fundamental domain for translation by polynomials, so reduce_mod_R is
@@ -111,22 +112,15 @@ class RationalFn:
     def fractional_part(self) -> "RationalFn":
         return RationalFn(self.num % self.den, self.den)
 
-    def expand(self, prec: int) -> "LaurentWindow":
-        """Exact expansion coefficients at all indices below prec."""
-        v = self.valuation()
-        if v is POS_INF:
-            return LaurentWindow(self.field, POS_INF, prec, ())
-        m = prec - 1
-        if m >= v:
-            if m >= 0:
-                s = self.num.shift(m) // self.den
-            else:
-                s = self.num // self.den.shift(-m)
-            items = tuple((m - k, s.coeff(k)) for k in range(m - v, -1, -1)
-                          if s.coeff(k))
+    def expand(self, lo: int, hi: int) -> Tuple[int, ...]:
+        """Exact expansion coefficients of Y^-lo, ..., Y^-(hi-1)."""
+        m = hi - 1
+        if m >= 0:
+            s = self.num.shift(m) // self.den
         else:
-            items = ()
-        return LaurentWindow(self.field, v, prec, items)
+            s = self.num // self.den.shift(-m)
+        # s is the polynomial part of f * Y^m, so index k sits at Y^(m-k)
+        return tuple(s.coeff(m - k) for k in range(lo, hi))
 
     def __repr__(self):
         if self.is_poly():
@@ -155,57 +149,10 @@ def reduce_mod_R(f: RationalFn) -> RationalFn:
     return f.fractional_part()
 
 
-class LaurentWindow(NamedTuple):
-    """Exact expansion slice: all coefficients at indices < prec are known.
-
-    Indices count powers of 1/Y, so index n carries the coefficient of Y^-n.
-    `lead` is the true valuation of the source element (POS_INF for zero) and
-    `items` stores only the nonzero coefficients, sorted by index.
-    """
-
-    field: Fq
-    lead: DegreeLike
-    prec: int
-    items: Tuple[Tuple[int, int], ...]
-
-    def coeff(self, n: int) -> int:
-        if n >= self.prec:
-            raise ValueError(f"index {n} outside window precision {self.prec}")
-        for k, c in self.items:
-            if k == n:
-                return c
-        return 0
-
-    def digits(self, lo: int, hi: int) -> Tuple[int, ...]:
-        """Coefficients at indices lo..hi-1 as a dense tuple."""
-        if hi > self.prec:
-            raise ValueError("window too short for requested digits")
-        d = dict(self.items)
-        return tuple(d.get(n, 0) for n in range(lo, hi))
-
-    def agrees_with(self, other: "LaurentWindow", depth: int) -> bool:
-        if depth > self.prec or depth > other.prec:
-            raise ValueError("windows too short for requested depth")
-        lo = []
-        for w in (self, other):
-            if w.lead is POS_INF:
-                lo.append(depth)
-            else:
-                lo.append(min(w.lead, depth))
-        start = min(lo)
-        return self.digits(start, depth) == other.digits(start, depth)
-
-
-def window_from_digits(field: Fq, lo: int, digits: Tuple[int, ...]) -> LaurentWindow:
-    """Window whose coefficients at lo..lo+len(digits)-1 are as given, 0 elsewhere."""
-    items = tuple((lo + i, c) for i, c in enumerate(digits) if c)
-    lead = items[0][0] if items else POS_INF
-    return LaurentWindow(field, lead, lo + len(digits), items)
-
-
-def in_ball(f: RationalFn, center: LaurentWindow, depth: int) -> bool:
-    """Whether |f - center| <= q^-depth, comparing exact expansion digits."""
-    return f.expand(depth).agrees_with(center, depth)
+def in_cell(f: RationalFn, lo: int, digits: Tuple[int, ...]) -> bool:
+    """Whether f has valuation >= lo and expansion digits `digits` at indices
+    lo, lo+1, ...: the ball of radius q^-(lo+len(digits)) they center."""
+    return f.valuation() >= lo and f.expand(lo, lo + len(digits)) == digits
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +191,15 @@ def z_of(v: PlaneVec) -> RationalFn:
     return v.x if is_sharp(v) else v.y
 
 
-def direction(v: PlaneVec, prec: int) -> Tuple[LaurentWindow, LaurentWindow]:
-    """Windows of the rescaled vector v / Y^norm, which has sup norm 1."""
-    k = vec_norm_exp(v)
-    scale = pi_pow(v.x.field if not v.x.is_zero() else v.y.field, k)
-    return (v.x * scale).expand(prec), (v.y * scale).expand(prec)
+def direction(v: PlaneVec, prec: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Digits 0..prec-1 of the rescaled vector v / Y^norm, which has sup norm 1."""
+    scale = pi_pow(v.x.field, vec_norm_exp(v))
+    return (v.x * scale).expand(0, prec), (v.y * scale).expand(0, prec)
 
 
 def lattice_direction_digits(v: LatticeVec, n: int, m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Fast path for polynomial vectors of sup norm q^n: the window digits of
-    the rescaled vector at indices 0..m-1 are just shifted coefficients."""
+    """Fast path for polynomial vectors of sup norm q^n: the digits of the
+    rescaled vector at indices 0..m-1 are just shifted coefficients."""
     ax = tuple(v.a.coeff(n - i) for i in range(m))
     by = tuple(v.b.coeff(n - i) for i in range(m))
     return ax, by

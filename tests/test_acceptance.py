@@ -21,9 +21,9 @@ from fqlattice.haar import (BoxSpec, box_measure, c_constant, cfe_prefactor,
                             kernel_elements, quotient_mass, sl2_order_mod,
                             sl2_order_bruteforce, sphere_mass, zeta_minus1)
 from fqlattice.harness import RunConfig, run_cfe, run_count, run_joint
-from fqlattice.lattice import (EnumFilter, count_membership_flips,
-                               domain_cells, enumerate_primitive,
-                               matrix_side_enumerate, sphere_cells,
+from fqlattice.lattice import (count_membership_flips, domain_cells,
+                               lattice_is_sharp, matrix_side_enumerate,
+                               primitive_vectors, sphere_cells,
                                verify_bijection)
 from fqlattice.laurent import RationalFn
 
@@ -269,8 +269,8 @@ def test_criterion_7_continued_fraction_statistic_crosscheck():
         filtered = run_cfe(RunConfig(q=2, n_min=1, n_max=6, ideal="Y",
                                      experiment="cfe"))
         for n in range(1, 7):
-            direct = sum(1 for _ in enumerate_primitive(
-                field, EnumFilter(n=n, ideal=I, sharp=False)))
+            direct = sum(1 for v in primitive_vectors(field, n, I)
+                         if not lattice_is_sharp(v))
             assert filtered.summary[f"total[n={n}]"] == direct
 
 

@@ -73,7 +73,7 @@ def _oracle_vectors(field, n_max, m, mp):
         for v in primitive_vectors(field, n):
             stat, _ = solution_statistic(v)
             out[n].append((v.a, v.b, lattice_direction_digits(v, n, m),
-                           stat.expand(mp).digits(1, mp), small_component(v)))
+                           stat.expand(1, mp), small_component(v)))
     return out
 
 
@@ -105,7 +105,7 @@ def _oracle_histogram(field, n, ideal, m, mp, theta_ids, dp_ids):
         if ideal.contains(small_component(v)):
             stat, _ = solution_statistic(v)
             hist[(theta_ids[lattice_direction_digits(v, n, m)],
-                  dp_ids[stat.expand(mp).digits(1, mp)])] += 1
+                  dp_ids[stat.expand(1, mp)])] += 1
     return hist
 
 
@@ -142,7 +142,7 @@ def _oracle_cfe_digits(field, n, gen, mp):
     for den in polys_of_degree(field, n):
         for num in nums:
             if is_coprime(num, den):
-                digits[penultimate_ratio(rat(num, den)).expand(mp).digits(1, mp)] += 1
+                digits[penultimate_ratio(rat(num, den)).expand(1, mp)] += 1
     return digits
 
 
@@ -190,7 +190,7 @@ def test_cfe_bins_each_node_by_its_penultimate_ratio(q):
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     for r, s, inv, lead in euclid_tree(field, 2 if q <= 5 else 1):
         got = _bin_ratios(field, Counter({(_head_digits(inv, s, mp), lead): 1}), dp_ids)
-        want = dp_ids[penultimate_ratio(rat(r, s)).expand(mp).digits(1, mp)]
+        want = dp_ids[penultimate_ratio(rat(r, s)).expand(1, mp)]
         assert got == {(want,): q - 1}, (str(r), str(s))
 
 

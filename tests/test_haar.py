@@ -214,6 +214,6 @@ class TestKernelElements:
         field, N = F2, 2
         seen = set()
         for k in kernel_elements(field, N):
-            sig = tuple(e.expand(N + 1).items for e in k)
+            sig = tuple(e.expand(0, N + 1) for e in k)
             seen.add(sig)
         assert len(seen) == field.q ** 3

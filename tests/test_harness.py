@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fqlattice import harness
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import hecke_index
@@ -24,8 +25,8 @@ from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _csv_cell,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
                                validate_config, work_estimate)
-from fqlattice.lattice import (EnumFilter, LatticeVec, enumerate_primitive,
-                               primitive_vectors, sphere_cells)
+from fqlattice.lattice import (LatticeVec, lattice_is_sharp, primitive_vectors,
+                               sphere_cells)
 
 
 F2 = get_field(2)
@@ -283,8 +284,8 @@ class TestCfe:
         rep = run_cfe(RunConfig(q=2, n_min=2, n_max=4, ideal="Y",
                                 experiment="cfe"))
         for n in (2, 3, 4):
-            direct = sum(1 for _ in enumerate_primitive(
-                field, EnumFilter(n=n, ideal=I, sharp=False)))
+            direct = sum(1 for v in primitive_vectors(field, n, I)
+                         if not lattice_is_sharp(v))
             assert rep.summary[f"total[n={n}]"] == direct
 
     def test_empty_boundary_level(self):
@@ -300,17 +301,17 @@ class TestVerify:
         assert rep.summary["passed"] == len(rep.rows) >= 10
         assert all(r["match"] for r in rep.rows)
 
-    def test_fault_injection_isolates_row(self):
-        rep = run_verify(RunConfig(q=2, experiment="verify"),
-                         overrides={"hecke_index": lambda I: hecke_index(I) + 1})
+    def test_fault_injection_isolates_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "hecke_index", lambda I: hecke_index(I) + 1)
+        rep = run_verify(RunConfig(q=2, experiment="verify"))
         bad = {r["name"] for r in rep.rows if not r["match"]}
         assert bad and all(name.startswith("hecke_index") for name in bad)
         good = {r["name"] for r in rep.rows if r["match"]}
         assert not any(name.startswith("hecke_index") for name in good)
 
-    def test_sl2_fault_injection(self):
-        rep = run_verify(RunConfig(q=2, experiment="verify"),
-                         overrides={"sl2_order_mod": lambda q, N: 1})
+    def test_sl2_fault_injection(self, monkeypatch):
+        monkeypatch.setattr(harness, "sl2_order_mod", lambda q, N: 1)
+        rep = run_verify(RunConfig(q=2, experiment="verify"))
         bad = {r["name"] for r in rep.rows if not r["match"]}
         assert bad == {"sl2_order[N=1]", "sl2_order[N=2]"}
 
@@ -491,7 +492,6 @@ class TestGoldenReports:
 class TestBuildId:
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_only_its_own_checkout_is_described(self, tmp_path, monkeypatch):
-        import fqlattice.harness as harness
         git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
         subprocess.run(git + ["init", "-q"], check=True)
         subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)

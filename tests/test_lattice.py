@@ -7,8 +7,8 @@ import pytest
 from fqlattice.field import Ideal, get_field, is_coprime, poly_from_text, polys_up_to_degree
 from fqlattice.haar import kernel_elements, quotient_mass, sphere_mass
 from fqlattice.lattice import (
-    DomainCell, EnumFilter, SphereCell, box_contains, companion_of,
-    count_membership_flips, domain_cells, enumerate_primitive, gamma_of,
+    DomainCell, SphereCell, box_contains, companion_of,
+    count_membership_flips, domain_cells, gamma_of,
     lattice_is_sharp, matrix_side_enumerate,
     primitive_vectors, small_component, solution_statistic, sphere_cells,
     verify_bijection, w_of,
@@ -134,9 +134,20 @@ class TestPrimitiveEnumeration:
     def test_ideal_filter_small_component(self):
         # level 1, ideal (Y): only (Y+1, Y) survives over GF(2)
         I = Ideal(poly_from_text(F2, "Y"))
-        got = list(enumerate_primitive(F2, EnumFilter(n=1, ideal=I)))
+        got = list(primitive_vectors(F2, 1, I))
         assert len(got) == 1
         assert (str(got[0].a), str(got[0].b)) == ("Y+1", "Y")
+        # on a tie |a| = |b| the ideal tests b: of (Y, Y+1) and (Y+1, Y)
+        # only the first passes the ideal (Y+1)
+        for field in (F3, get_field(4)):
+            J = Ideal(field.Y + field.one)
+            got = set(primitive_vectors(field, 1, J))
+            assert LatticeVec(field.Y, field.Y + field.one) in got
+            assert LatticeVec(field.Y + field.one, field.Y) not in got
+            for n in (1, 2):
+                want = [v for v in primitive_vectors(field, n)
+                        if J.contains(v.b if v.a.degree >= v.b.degree else v.a)]
+                assert list(primitive_vectors(field, n, J)) == want
 
     def test_small_component_convention(self):
         assert small_component(vec(F2, "Y", "1")) == F2.one          # sharp
@@ -156,29 +167,29 @@ class TestCompanion:
     def test_determinant_and_ball_condition(self):
         for field, levels in ((F2, (0, 1, 2, 3)), (F3, (0, 1, 2))):
             for n in levels:
-                for v in enumerate_primitive(field, EnumFilter(n=n, sharp=True)):
+                for v in filter(lattice_is_sharp, primitive_vectors(field, n)):
                     g = gamma_of(v)
                     assert g.det() == rat(field.one)
                     ratio = rat(g.b.num, v.a)
                     assert ratio.is_zero() or ratio.valuation() >= 1
 
     def test_seed_independence(self):
-        # translated Bezout seeds pin the same representative
-        from fqlattice.field import poly_xgcd
-        for v in enumerate_primitive(F2, EnumFilter(n=2, sharp=True)):
-            _, x0, y0 = poly_xgcd(v.a, v.b)
-            base = w_of(v)
+        # every translate w + lam * v also has det(v | w) = 1, but only
+        # lam = 0 keeps x_w / a in the open unit ball, so w_of does not
+        # depend on which Bezout solution the extended gcd returns
+        for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
+            w = w_of(v)
             for lam in polys_up_to_degree(F2, 1):
-                seed = (x0 + lam * v.b, y0 - lam * v.a)
-                assert w_of(v, seed=seed) == base
+                t = LatticeVec(w.a + lam * v.a, w.b + lam * v.b)
+                assert (v.a * t.b - t.a * v.b).is_one()
+                ratio = rat(t.a, v.a)
+                assert (ratio.is_zero() or ratio.valuation() >= 1) == lam.is_zero()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             w_of(vec(F2, "0", "1"))
         with pytest.raises(ValueError):
             w_of(vec(F2, "Y", "Y"))
-        with pytest.raises(ValueError):
-            w_of(vec(F2, "Y", "1"), seed=(F2.one, F2.one))
 
     def test_companion_of_any_primitive(self):
         for field in (F2, F3):
@@ -239,9 +250,10 @@ class TestBox:
 
     def test_gamma_image_lands_in_box(self):
         th, dp = self.theta(F2), self.dprime(F2)
-        filt = EnumFilter(n=2, sharp=True, direction_cell=th, solution_cell=dp)
         hits = 0
-        for v in enumerate_primitive(F2, filt):
+        for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
+            if not (th.contains_lattice(v, 2) and dp.contains(rat(w_of(v).a, v.a))):
+                continue
             assert box_contains(gamma_of(v), 2, th, dp)
             hits += 1
         assert hits > 0

@@ -1,20 +1,41 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fqlattice.field import Fq, NEG_INF, POS_INF, polys_up_to_degree
+from fqlattice.field import Fq, NEG_INF, POS_INF, get_field, polys_up_to_degree
 from fqlattice.laurent import (
-    RationalFn, LatticeVec, PlaneVec, as_plane, direction, in_ball,
+    RationalFn, LatticeVec, PlaneVec, as_plane, direction, in_cell,
     lattice_direction_digits, pi_pow, rat, reduce_mod_R,
-    vec_norm_exp, window_from_digits, is_sharp, z_of,
+    vec_norm_exp, is_sharp, z_of,
 )
 
 F2 = Fq(2)
 F3 = Fq(3)
+FIELDS = st.sampled_from((2, 3, 4, 5, 7, 8, 9)).map(get_field)
 
 
 def R(field, num, den=None):
     return rat(field.poly(num)) if den is None else rat(field.poly(num), field.poly(den))
+
+
+def resum(field, lo, digits):
+    """sum of digits[i] * Y^-(lo+i) as an exact rational function."""
+    total = rat(field.zero)
+    for i, c in enumerate(digits):
+        total = total + rat(field.const(c)) * pi_pow(field, lo + i)
+    return total
+
+
+@st.composite
+def laurent_elements(draw):
+    """A field and an element with or without a polynomial part."""
+    field = draw(FIELDS)
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=5)
+    num = field.poly(draw(coeffs))
+    den = field.poly(draw(coeffs))
+    f = rat(num, field.one if den.is_zero() else den)
+    return field, (f if draw(st.booleans()) else f.fractional_part())
 
 
 class TestRationalFn:
@@ -91,76 +112,86 @@ class TestRationalFn:
 class TestExpansion:
     def test_char2_geometric_series(self):
         f = R(F2, (1,), (1, 0, 1))  # 1/(Y^2+1) = sum Y^(-2k), k >= 1
-        w = f.expand(8)
-        assert w.lead == 2
-        assert w.items == ((2, 1), (4, 1), (6, 1))
+        assert f.valuation() == 2
+        assert f.expand(0, 8) == (0, 0, 1, 0, 1, 0, 1, 0)
 
     def test_gf3_geometric_series(self):
         f = R(F3, (1,), (2, 1))  # 1/(Y-1) = sum Y^(-k)
-        w = f.expand(5)
-        assert w.items == ((1, 1), (2, 1), (3, 1), (4, 1))
+        assert f.expand(0, 5) == (0, 1, 1, 1, 1)
 
     def test_polynomial_part_indices(self):
         g = R(F2, (1, 0, 0, 1), (0, 1))  # Y^2 + Y^-1
-        w = g.expand(3)
-        assert w.lead == -2
-        assert w.items == ((-2, 1), (1, 1))
-        assert w.digits(-2, 3) == (1, 0, 0, 1, 0)
+        assert g.valuation() == -2
+        assert g.expand(-2, 3) == (1, 0, 0, 1, 0)
 
     def test_zero_window(self):
-        w = R(F2, (0,)).expand(4)
-        assert w.lead is POS_INF and w.items == ()
+        z = R(F2, (0,))
+        assert z.valuation() is POS_INF and z.expand(-2, 4) == (0,) * 6
 
     def test_expansion_resums_exactly(self):
-        # resumming the window plus the exact tail recovers f: the tail is
-        # f - (partial sum), and must have valuation >= prec
+        # resumming the digits from the valuation plus the exact tail
+        # recovers f: the tail is f - (partial sum), and must have
+        # valuation >= prec
         for f in (R(F3, (1, 1), (2, 0, 1)), R(F3, (0, 2, 1), (1, 1)), R(F2, (1,), (1, 1, 1))):
             field = f.field
             prec = 6
-            w = f.expand(prec)
-            partial = R(field, (0,))
-            for n, c in w.items:
-                partial = partial + rat(field.const(c)) * pi_pow(field, n)
-            tail = f - partial
+            lo = f.valuation()
+            tail = f - resum(field, lo, f.expand(lo, prec))
             assert tail.is_zero() or tail.valuation() >= prec
 
     def test_window_text(self):
         f = R(F2, (1,), (1, 0, 1))
-        assert f.expand(5).items == ((2, 1), (4, 1))
-        assert R(F2, (0,)).expand(3).items == ()
+        assert f.expand(2, 5) == (1, 0, 1)
+        assert f.expand(3, 3) == ()
+        assert R(F2, (0,)).expand(0, 3) == (0, 0, 0)
 
-    def test_coeff_out_of_window_raises(self):
-        w = R(F2, (1,), (0, 1)).expand(3)
-        assert w.coeff(1) == 1 and w.coeff(2) == 0
-        with pytest.raises(ValueError):
-            w.coeff(3)
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements(), st.integers(0, 2), st.integers(0, 6))
+    def test_expand_resums_up_to_its_tail(self, case, below, width):
+        field, f = case
+        lo = (0 if f.is_zero() else f.valuation()) - below
+        tail = f - resum(field, lo, f.expand(lo, lo + width))
+        assert tail.is_zero() or tail.valuation() >= lo + width
 
 
 class TestBalls:
     def test_in_ball_basic(self):
-        center = window_from_digits(F2, 1, (1, 0, 1))
         f = R(F2, (1,), (0, 1)) + R(F2, (1,), (0, 0, 0, 1))  # 1/Y + 1/Y^3
-        assert in_ball(f, center, 4)
-        assert in_ball(f, center, 2)
+        assert in_cell(f, 1, (1, 0, 1))
+        assert in_cell(f, 1, (1,))
         g = R(F2, (1,), (0, 1))
-        assert not in_ball(g, center, 4)
-        assert in_ball(g, center, 3)
+        assert not in_cell(g, 1, (1, 0, 1))
+        assert in_cell(g, 1, (1, 0))
 
     def test_domain_cells_partition(self):
         # depth-3 cells inside the unit ball: digits at indices 1 and 2
-        cells = [window_from_digits(F3, 1, (d1, d2)) for d1 in range(3) for d2 in range(3)]
+        cells = [(d1, d2) for d1 in range(3) for d2 in range(3)]
         sample = [rat(a, b) for a in polys_up_to_degree(F3, 2)
                   for b in polys_up_to_degree(F3, 3)
                   if not b.is_zero()]
         sample = [f.fractional_part() for f in sample][::5]
         for f in sample:
-            hits = [c for c in cells if in_ball(f, c, 3)]
+            hits = [c for c in cells if in_cell(f, 1, c)]
             assert len(hits) == 1
 
     def test_ball_respects_negative_indices(self):
-        center = window_from_digits(F2, 1, (1,))
         g = R(F2, (1, 0, 1), (0, 1))  # Y + 1/Y: matches digits above index 0
-        assert not in_ball(g, center, 2)
+        assert not in_cell(g, 1, (1,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(laurent_elements(), st.sampled_from((-1, 0, 1)), st.data())
+    def test_in_cell_is_the_ball_around_its_digits(self, case, lo, data):
+        # in_cell(f, lo, d) exactly when |f - center| <= q^-(lo+len(d)),
+        # center = sum d_i Y^-(lo+i); half the draws sit near the center
+        field, f = case
+        digits = tuple(data.draw(st.lists(st.integers(0, field.q - 1),
+                                          min_size=1, max_size=4)))
+        center = resum(field, lo, digits)
+        if data.draw(st.booleans()):
+            f = center + f * pi_pow(field, data.draw(st.integers(0, 8)))
+        gap = f - center
+        inside = gap.is_zero() or gap.valuation() >= lo + len(digits)
+        assert in_cell(f, lo, digits) == inside
 
 
 class TestPlaneVectors:
@@ -187,12 +218,12 @@ class TestPlaneVectors:
     def test_direction_has_unit_norm_and_scales_away(self):
         v = PlaneVec(R(F2, (0, 0, 1)), R(F2, (1, 0, 1)))
         wx, wy = direction(v, 3)
-        assert wx.digits(0, 3) == (1, 0, 0)
-        assert wy.digits(0, 3) == (1, 0, 1)
-        assert min(wx.lead, wy.lead) == 0
+        assert wx == (1, 0, 0)
+        assert wy == (1, 0, 1)
+        scale = pi_pow(F2, vec_norm_exp(v))
+        assert min((v.x * scale).valuation(), (v.y * scale).valuation()) == 0
         scaled = PlaneVec(v.x * rat(F2.poly((0, 0, 0, 1))), v.y * rat(F2.poly((0, 0, 0, 1))))
-        sx, sy = direction(scaled, 3)
-        assert (sx.items, sy.items) == (wx.items, wy.items)
+        assert direction(scaled, 3) == (wx, wy)
 
     def test_lattice_direction_digits_fast_path(self):
         for a in polys_up_to_degree(F3, 3):
@@ -201,8 +232,7 @@ class TestPlaneVectors:
                     continue
                 v = LatticeVec(a, b)
                 n = vec_norm_exp(as_plane(v))
-                wx, wy = direction(as_plane(v), 3)
-                assert lattice_direction_digits(v, n, 3) == (wx.digits(0, 3), wy.digits(0, 3))
+                assert lattice_direction_digits(v, n, 3) == direction(as_plane(v), 3)
 
 
 class TestMatrixNormComparison:

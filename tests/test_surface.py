@@ -5,9 +5,10 @@ defined in `src/fqlattice/` must be referenced somewhere in `src/` or
 `tests/` outside its own definition.  References are read with `ast`:
 a name that is loaded, an attribute, or a string constant that is exactly
 the name or a dotted path ending in it (as in
-`monkeypatch.setattr(module, "name", ...)`).  Imports and
-docstrings do not count.  Attributes cannot be resolved statically, so a
-method counts as referenced when any attribute of its spelling is.
+`monkeypatch.setattr(module, "name", ...)`).  Imports, docstrings and the
+strings of `__all__` do not count: exporting a name does not use it.
+Attributes cannot be resolved statically, so a method counts as referenced
+when any attribute of its spelling is.
 
 A definition that only tests reference is an oracle or a fixture, and must be
 listed in TEST_ONLY with the reason it is kept; an entry that `src/` now uses
@@ -15,9 +16,11 @@ is stale and fails too.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import fqlattice
+from fqlattice import cfrac, field, lattice, laurent
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fqlattice"
@@ -25,6 +28,8 @@ PACKAGE = ROOT / "src" / "fqlattice"
 # module.qualname -> why the library keeps a definition no src/ code calls
 TEST_ONLY = {
     "cfrac.artin_step": "the Gauss-map step that cf_expand must iterate",
+    "cfrac.penultimate_ratio": ("defines the cfe statistic that the DP's cfe keys are "
+                                "checked against; the perfbench tracer patches it"),
     "cfrac.is_convergent": "characterizes the convergents by approximation quality",
     "field.Ideal.unit": "the public constructor of the unit ideal; tests build fixtures with it",
     "haar.sharp_hemisphere_mass": "the two hemisphere masses must sum to sphere_mass",
@@ -34,8 +39,8 @@ TEST_ONLY = {
     "harness._tree_block": "the node-by-node oracle of the transfer DP",
     "lattice.SphereCell.measure": "the sphere cells must add up to sphere_mass",
     "lattice.DomainCell.measure": "the domain cells must add up to quotient_mass",
-    "lattice.SphereCell.contains_plane": "membership by Laurent windows, against cell digits",
-    "laurent.direction": "the rescaled direction windows, against the cell digits",
+    "lattice.SphereCell.contains_plane": "membership by expansion digits, against cell digits",
+    "laurent.direction": "the rescaled direction digits, against the cell digits",
 }
 
 
@@ -58,11 +63,22 @@ def _definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", path, item
 
 
+def _exported(tree):
+    """ids of the nodes inside `__all__ = [...]` assignments."""
+    return {id(n) for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for n in ast.walk(node.value)}
+
+
 def _references():
     """name -> [(file, line)] over src/ and tests/."""
     refs = {}
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        exported = _exported(tree)
+        for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -123,3 +139,26 @@ def test_no_dataclasses_import():
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "imports dataclasses:\n" + "\n".join(found)
+
+
+def _traced():
+    """Four of the names the perfbench tracer wraps, one per kind of patch."""
+    return (laurent.RationalFn.__dict__["expand"], lattice.solution_statistic,
+            cfrac.penultimate_ratio, field.Poly.__dict__["__divmod__"])
+
+
+def test_perfbench_tracer_installs():
+    # the benchmark's tracer patches library names by spelling; a rename or
+    # deletion under src/ must fail here, not only inside a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    originals = _traced()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert all(p.__wrapped__ is o for p, o in zip(_traced(), originals))
+    finally:
+        tracer.uninstall()
+    assert _traced() == originals

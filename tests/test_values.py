@@ -12,8 +12,8 @@ from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import BoxSpec, Mat2
 from fqlattice.harness import (Report, RunConfig, run_bijection, run_joint,
                                to_json)
-from fqlattice.lattice import BijectionResult, DomainCell, EnumFilter, SphereCell
-from fqlattice.laurent import LaurentWindow, rat
+from fqlattice.lattice import BijectionResult, DomainCell, SphereCell
+from fqlattice.laurent import rat
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -24,14 +24,12 @@ def _values():
     f = rat(poly_from_text(F2, "Y+1"), poly_from_text(F2, "Y^3+Y+1"))
     return [
         (Ideal, lambda: Ideal(poly_from_text(F3, "2Y+1"))),
-        (LaurentWindow, lambda: LaurentWindow(F2, 1, 3, ((1, 1), (2, 1)))),
         (CfExpansion, lambda: cf_expand(f)),
         (ConvergentTable, lambda: convergents(cf_expand(f))),
         (BoxSpec, lambda: BoxSpec(2, Fraction(1, 3), Fraction(1, 2))),
         (Mat2, lambda: Mat2.identity(F3)),
         (SphereCell, lambda: SphereCell(F3, (1, 2), (0, 1))),
         (DomainCell, lambda: DomainCell(F3, 3, (2, 0))),
-        (EnumFilter, lambda: EnumFilter(n=2, ideal=Ideal.unit(F2), sharp=True)),
         (BijectionResult, lambda: BijectionResult(3, 3, True, (), ())),
         (RunConfig, lambda: RunConfig(q=3, ideal="Y", experiment="joint")),
     ]
@@ -73,8 +71,6 @@ class TestValidation:
         assert DomainCell(field=F2, depth=1, digits=()).id_text() == "-"
         assert RunConfig() == RunConfig(2, None, 1, 3, 1, 2, "1", "count", "csv",
                                         None, False, 10 ** 8, 8)
-        assert EnumFilter(3) == EnumFilter(n=3, ideal=None, sharp=None,
-                                           direction_cell=None, solution_cell=None)
 
 
 class TestContract:
