@@ -37,6 +37,9 @@ into a carry, carry[L] = q carry[L - 1] + (arrivals from degree d0 at L).  A
 run costs one compile of states x classes x d0, then levels x successor
 edges.  `_tree_block`, the walk of `lattice.euclid_tree` node by node, is
 the DP's oracle in the tests.  Level 0 keeps the vector-by-vector path.
+The level loops repeat no run-wide work: main terms are per-run constants
+times q^(2n), a joint key's orbit cells are found once per run, and cell
+statistics are integers over one denominator per level until printed.
 Everything runs in one process.  Serialized reports echo only the
 configuration that shapes the result (output path and wall time stay out).
 """
@@ -239,7 +242,11 @@ def _config_echo(cfg: RunConfig) -> Dict[str, object]:
 
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator, "approx": float(v)}
+        try:
+            approx = float(v)
+        except OverflowError:  # beyond the float range
+            approx = None
+        return {"num": v.numerator, "den": v.denominator, "approx": approx}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -265,18 +272,17 @@ def to_json(report: Report) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, bool):
+    if type(v) is bool:
         return "true" if v else "false"
-    if v is None:
-        return "-"
-    return str(v)
+    return "-" if v is None else str(v)
 
 
 def _csv_field(v) -> str:
     """_csv_cell quoted as csv.writer quotes it on Python 3.11 (not for '\\r')."""
-    t = v if type(v) is str else _csv_cell(v)
+    kind = type(v)
+    if kind is int or kind is Fraction:  # no character that needs quotes
+        return str(v)
+    t = v if kind is str else _csv_cell(v)
     return '"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\n" in t else t
 
 
@@ -289,7 +295,7 @@ def _csv_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
         try:
             lines.append(",".join(map(texts.__getitem__, map(id, values))))
         except KeyError:
-            texts.update((id(v), _csv_field(v)) for v in values)
+            texts.update((id(v), _csv_field(v)) for v in values if id(v) not in texts)
             lines.append(",".join(map(texts.__getitem__, map(id, values))))
     return "\n".join(lines) + "\n"
 
@@ -521,27 +527,40 @@ def _orbit_size(field: Fq, tally: Counter) -> int:
                                for key, count in tally.items())
 
 
-def _bin_orbits(field: Fq, tally: Counter, theta_ids: Dict, dp_ids: Dict) -> Counter:
-    """Cell histogram of the orbits over the tallied nodes.
-
-    Over a node (r, s) lie the sharp vectors (lambda*s, mu*s + r) and the
-    blunt vectors (r, lambda*s), lambda in F_q^*; their solution statistics
-    are -lambda^-1 r^-1/s and +lambda^-1 r^-1/s.
-    """
+def _orbit_cells(field: Fq, key: tuple, theta_ids: Dict, dp_ids: Dict) -> Counter:
+    """The cells of the orbit over a node of joint key `key`, with the
+    number of its vectors in each.  Over a node (r, s) lie the sharp vectors
+    (lambda*s, mu*s + r) and the blunt vectors (r, lambda*s), lambda in
+    F_q^*; their solution statistics are -+lambda^-1 r^-1/s."""
     mul, add, neg, inv = field.mul_t, field.add_t, field.neg_t, field.inv_t
-    hist: Counter = Counter()
-    for (s_top, r_top, digits, mus, r_in), count in tally.items():
-        for lam in range(1, field.q):
-            lam_s = tuple(mul[lam][c] for c in s_top)
-            if mus:
-                dp = dp_ids[tuple(mul[neg[inv[lam]]][c] for c in digits)]
-                for mu in mus:
-                    b_top = tuple(add[mul[mu][c]][e] for c, e in zip(s_top, r_top))
-                    hist[(theta_ids[(lam_s, b_top)], dp)] += count
-            if r_in:
-                dp = dp_ids[tuple(mul[inv[lam]][c] for c in digits)]
-                hist[(theta_ids[(r_top, lam_s)], dp)] += count
-    return hist
+    s_top, r_top, digits, mus, r_in = key
+    cells: Counter = Counter()
+    for lam in range(1, field.q):
+        lam_s = tuple(mul[lam][c] for c in s_top)
+        if mus:
+            dp = dp_ids[tuple(mul[neg[inv[lam]]][c] for c in digits)]
+            for mu in mus:
+                b_top = tuple(add[mul[mu][c]][e] for c, e in zip(s_top, r_top))
+                cells[(theta_ids[(lam_s, b_top)], dp)] += 1
+        if r_in:
+            dp = dp_ids[tuple(mul[inv[lam]][c] for c in digits)]
+            cells[(theta_ids[(r_top, lam_s)], dp)] += 1
+    return cells
+
+
+def _bin_orbits(field: Fq, nodes: Dict[int, Counter], theta_ids: Dict,
+                dp_ids: Dict) -> Dict[int, Counter]:
+    """Cell histograms of the orbits over each level's tallied nodes.  The DP
+    meets the same keys at every level, so _orbit_cells runs once per key."""
+    orbits: Dict[tuple, Counter] = {}
+    hists: Dict[int, Counter] = defaultdict(Counter)
+    for n, tally in nodes.items():
+        for key, count in tally.items():
+            if key not in orbits:
+                orbits[key] = _orbit_cells(field, key, theta_ids, dp_ids)
+            for cell, mult in orbits[key].items():
+                hists[n][cell] += count * mult
+    return hists
 
 
 def _level_zero(field: Fq, I: Ideal, m: int, mp: int, theta_ids: Dict,
@@ -579,9 +598,11 @@ def _bin_ratios(field: Fq, tally: Counter, dp_ids: Dict) -> Counter:
 def _fit_exponent(levels: Sequence[int], errors: Sequence[Fraction],
                   q: int) -> Optional[float]:
     """Least-squares slope of ln(error) against n, reported as the tau in
-    error ~ q^(-2 n tau).  Zero errors carry no information and are skipped."""
-    pts = [(n, math.log(float(e))) for n, e in zip(levels, errors)
-           if n >= 1 and e > 0]
+    error ~ q^(-2 n tau).  Zero errors carry no information and are skipped;
+    one that underflows a float is logged on the integers."""
+    pts = [(n, math.log(float(e)) if float(e) else
+            math.log(e.numerator) - math.log(e.denominator))
+           for n, e in zip(levels, errors) if n >= 1 and e > 0]
     if len(pts) < 2:
         return None
     xs, ys = zip(*pts)
@@ -594,13 +615,13 @@ def _fit_exponent(levels: Sequence[int], errors: Sequence[Fraction],
 
 
 def _trend_status(sups: Sequence[Fraction]) -> str:
-    """Sliding two-level window averages must not increase; a final level
-    worse than the first is an outright failure."""
+    """Sliding two-level window sums (twice their averages) must not
+    increase; a final level worse than the first is an outright failure."""
     if len(sups) < 2:
         return "pass"
     if sups[-1] > sups[0]:
         return "fail"
-    windows = [(sups[i] + sups[i + 1]) / 2 for i in range(len(sups) - 1)]
+    windows = [sups[i] + sups[i + 1] for i in range(len(sups) - 1)]
     ok = all(windows[i + 1] <= windows[i] for i in range(len(windows) - 1))
     return "pass" if ok else "warn"
 
@@ -626,16 +647,19 @@ def _cell_table(n: int, names: Tuple[str, ...], cells: Sequence[Tuple[str, ...]]
     """Append a row of level n for each cell, a tuple of id texts that is
     both its histogram key and its `names` columns, and return the level's
     total count and its sup and mean discrepancy |count/expected - 1|.
-    Ratios are computed once per distinct count."""
+    With expected = e/f in lowest terms that gap is |c f - e| / e, so the
+    gaps stay integers over e; ratios are computed once per distinct count."""
+    e, f = expected.numerator, expected.denominator
     counts = [hist.get(cell, 0) for cell in cells]
     cells_with = Counter(counts)
-    ratio = {c: Fraction(c) / expected for c in cells_with}
+    ratio = {c: Fraction(c * f, e) for c in cells_with}
     rows.extend({"n": n, **dict(zip(names, cell)), "empirical_count": c,
                  "expected": expected, "ratio": ratio[c]}
                 for cell, c in zip(cells, counts))
-    gap = {c: abs(r - 1) for c, r in ratio.items()}
-    mean = sum((gap[c] * k for c, k in cells_with.items()), Fraction(0)) / len(cells)
-    return sum(c * k for c, k in cells_with.items()), max(gap.values()), mean
+    gap = {c: abs(c * f - e) for c in cells_with}
+    mean = Fraction(sum(gap[c] * k for c, k in cells_with.items()), e * len(cells))
+    return (sum(c * k for c, k in cells_with.items()),
+            Fraction(max(gap.values()), e), mean)
 
 
 def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
@@ -668,14 +692,15 @@ def run_count(cfg: RunConfig) -> Report:
     rows = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
+    main0 = counting_main_term(I, 0)  # times q^(2n) at level n
     nodes = _level_tallies(cfg, field, I, "count")
     for n in levels:
         if n == 0:
             total = sum(1 for _ in primitive_vectors(field, 0, I))
         else:
             total = _orbit_size(field, nodes[n])
-        main = counting_main_term(I, n)
-        rel = abs(Fraction(total) / main - 1)
+        main = main0 * cfg.q ** (2 * n)
+        rel = Fraction(abs(total * main.denominator - main.numerator), main.numerator)
         rels.append(rel)
         rows.append({"n": n, "exact_count": total, "main_term": main,
                      "relative_error": rel})
@@ -697,25 +722,26 @@ def run_count(cfg: RunConfig) -> Report:
 def run_joint(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     field, I = validate_config(cfg)
-    m, mp = cfg.depth_m, cfg.depth_mp
+    q, m, mp = cfg.q, cfg.depth_m, cfg.depth_mp
     warnings: List[str] = []
-    masses = (Fraction(1, cfg.q ** (2 * m)), Fraction(1, cfg.q ** mp))
-    _depth_warning(cfg, expected_box_count(I, BoxSpec(cfg.n_min, *masses)), warnings)
+    expected0 = expected_box_count(I, BoxSpec(0, Fraction(1, q ** (2 * m)),
+                                              Fraction(1, q ** mp)))
+    _depth_warning(cfg, expected0 * q ** (2 * cfg.n_min), warnings)
     rows: List[dict] = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     sups: List[Fraction] = []
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
-    nodes = _level_tallies(cfg, field, I, "joint")
+    hists = _bin_orbits(field, _level_tallies(cfg, field, I, "joint"),
+                        theta_ids, dp_ids)
     for n in levels:
         if n == 0:
             hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
         else:
-            hist, exceptional = _bin_orbits(field, nodes[n], theta_ids, dp_ids), 0
-        expected = expected_box_count(I, BoxSpec(n, *masses))
+            hist, exceptional = hists[n], 0
         total, sup, mean = _cell_table(n, ("direction_cell", "solution_cell"),
-                                       cells, hist, expected, rows)
+                                       cells, hist, expected0 * q ** (2 * n), rows)
         if n >= 1:
             sups.append(sup)
         summary[f"total[n={n}]"] = total
@@ -741,8 +767,9 @@ def run_cfe(cfg: RunConfig) -> Report:
     q, mp = cfg.q, cfg.depth_mp
     pref = cfe_prefactor(I)
     warnings: List[str] = []
-    _depth_warning(cfg, Fraction(q ** (2 * cfg.n_min), q ** (mp - 1)) / pref,
-                   warnings)
+    # expected count: q^(2n) times the cell's mass over the prefactor
+    expected0 = Fraction(1, q ** (mp - 1)) / pref
+    _depth_warning(cfg, expected0 * q ** (2 * cfg.n_min), warnings)
     rows: List[dict] = []
     summary: Dict[str, object] = {"prefactor": pref}
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
@@ -750,11 +777,8 @@ def run_cfe(cfg: RunConfig) -> Report:
     nodes = _level_tallies(cfg, field, I, "cfe")
     for n in range(cfg.n_min, cfg.n_max + 1):
         hist = _bin_ratios(field, nodes.get(n, Counter()), dp_ids)
-        # expected count: q^{2n} times the cell's probability mass over the
-        # normalizing prefactor
-        expected = Fraction(q ** (2 * n), q ** (mp - 1)) / pref
         total, sup, mean = _cell_table(n, ("solution_cell",), cells, hist,
-                                       expected, rows)
+                                       expected0 * q ** (2 * n), rows)
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -397,6 +398,26 @@ class TestOutputs:
         echo = next(l for l in out.splitlines() if l.startswith("# config "))
         keys = [item.split("=", 1)[0] for item in echo[len("# config "):].split(" ")]
         assert keys == [f for f in RunConfig._fields if f not in ("fmt", "out")]
+
+    def test_json_rational_beyond_the_float_range(self, capsys):
+        # 3/2 4^515 points are expected at level 515, above the largest float
+        code, out, _ = run(["joint", "--q", "2", "--n-min", "515", "--n-max", "515",
+                            "--format", "json", "--guard", str(10 ** 340)], capsys)
+        assert code == 0
+        expected = json.loads(out)["rows"][0]["expected"]
+        assert Fraction(expected["num"], expected["den"]) == Fraction(3, 2) * 4 ** 515 / 6
+        assert expected["approx"] is None
+        ratio = json.loads(out)["rows"][0]["ratio"]
+        assert ratio["approx"] == ratio["num"] / ratio["den"]
+
+    def test_fitted_exponent_of_errors_below_the_floats(self, capsys):
+        # the relative errors of levels 538 on underflow a float to 0.0
+        code, out, _ = run(["count", "--q", "2", "--ideal", "Y", "--n-min", "535",
+                            "--n-max", "545", "--guard", str(10 ** 340)], capsys)
+        assert code == 0
+        fitted = next(l for l in out.splitlines()
+                      if l.startswith("# summary fitted_error_exponent="))
+        assert float(fitted.split("=")[1]) == pytest.approx(1.0, rel=1e-6)
 
     def test_bijection_subcommand(self, capsys):
         code, out, err = run(["bijection", "--ideal", "Y"], capsys)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fqlattice.field import Fq, Ideal, polys_of_degree, polys_up_to_degree, poly_from_text
+from fqlattice.field import (Fq, Ideal, get_field, polys_of_degree, polys_up_to_degree,
+                             poly_from_text)
 from fqlattice.haar import (
     BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor, counting_main_term,
     covolume, expected_box_count, hecke_index, hecke_index_bruteforce,
@@ -115,6 +116,26 @@ class TestClosedForms:
                 spec = BoxSpec(n, nonsharp_hemisphere_mass(q), quotient_mass(q))
                 assert expected_box_count(I, spec) == \
                     Fraction(q ** (2 * n)) / cfe_prefactor(I)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_main_terms_scale_as_q_to_the_2n(self, q):
+        # the runners evaluate each main term once, at level 0, and multiply
+        # it by q^(2n) at level n
+        field = get_field(q)
+        for text in ("1", "Y", "Y+1", "Y^2+Y+1"):
+            I = Ideal(poly_from_text(field, text))
+            for m, mp in ((1, 2), (2, 3)):
+                masses = (Fraction(1, q ** (2 * m)), Fraction(1, q ** mp))
+
+                def cfe_expected(n):
+                    return Fraction(q ** (2 * n), q ** (mp - 1)) / cfe_prefactor(I)
+
+                for n in range(7):
+                    scale = q ** (2 * n)
+                    assert counting_main_term(I, n) == counting_main_term(I, 0) * scale
+                    assert expected_box_count(I, BoxSpec(n, *masses)) == \
+                        expected_box_count(I, BoxSpec(0, *masses)) * scale
+                    assert cfe_expected(n) == cfe_expected(0) * scale
 
 
 class TestOracles:

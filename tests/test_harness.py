@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,9 +22,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fqlattice import harness
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
-from fqlattice.haar import hecke_index
-from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _csv_cell,
-                               _csv_table, build_id, render_report,
+from fqlattice.haar import (BoxSpec, cfe_prefactor, counting_main_term,
+                           expected_box_count, hecke_index)
+from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _cell_table,
+                               _csv_table, _fit_exponent, _trend_status,
+                               build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
                                validate_config, work_estimate)
@@ -31,6 +36,7 @@ from fqlattice.lattice import (LatticeVec, lattice_is_sharp, primitive_vectors,
 
 F2 = get_field(2)
 F3 = get_field(3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _argv(cfg, *extra):
@@ -430,7 +436,8 @@ def csv_tables(draw):
 
 
 class TestCsvTable:
-    """_csv_table against csv.writer(lineterminator="\n") fed _csv_cell."""
+    """_csv_table against csv.writer(lineterminator="\n") fed the cell texts
+    of a local reference: true/false for a bool, "-" for None, else str."""
 
     @settings(max_examples=300, deadline=None)
     @given(csv_tables())
@@ -452,7 +459,12 @@ class TestCsvTable:
 
     @staticmethod
     def oracle(columns, rows):
-        texts = [list(columns)] + [[_csv_cell(r[c]) for c in columns] for r in rows]
+        def text(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return "-" if v is None else str(v)
+
+        texts = [list(columns)] + [[text(r[c]) for c in columns] for r in rows]
         # csv quotes a lone '\r' from Python 3.13 on; the reports hold none
         assume(sys.version_info < (3, 13) or "\r" not in "".join(sum(texts, [])))
         buf = io.StringIO()
@@ -487,6 +499,121 @@ class TestGoldenReports:
         text = to_csv(runner(RunConfig(experiment=kind, **cfg)))
         masked = re.sub(r"^# build=.*$", "# build=*", text, flags=re.MULTILINE)
         assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+    @pytest.fixture(scope="class")
+    def perfbench(self):
+        """perfbench/gate.py and perfbench/run.py, loaded from the checkout
+        (run.py imports the gate as `gate`)."""
+        modules = {}
+        saved = sys.modules.get("gate")
+        try:
+            for name in ("gate", "run"):
+                spec = importlib.util.spec_from_file_location(
+                    name, ROOT / "perfbench" / f"{name}.py")
+                modules[name] = sys.modules[name] = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(modules[name])
+        finally:
+            for name in ("gate", "run"):
+                sys.modules.pop(name, None)
+            if saved is not None:
+                sys.modules["gate"] = saved
+        return SimpleNamespace(**modules)
+
+    @pytest.mark.parametrize("workload,seed", [
+        ("joint-q2", 0), ("joint-q2-w2", 0), ("cfe-q2", 0),
+        ("count-q3", 0), ("count-q3", 1), ("count-q3", 2)])
+    def test_perfbench_report_passes_the_gate(self, perfbench, workload, seed,
+                                              tmp_path, capsys):
+        # each benchmark configuration, rendered in-process through the CLI,
+        # must keep the recorded masked digest and the closed-form totals
+        w = perfbench.run.WORKLOADS[workload]
+        argv, key = w.config(seed)
+        out = tmp_path / "report.csv"
+        code = main(argv + ["--out", str(out)])
+        assert perfbench.gate.check(w.kind, key, w.levels, code, out.read_bytes()) == []
+
+
+def _halved_trend(sups):
+    """_trend_status as first written: window averages, halved."""
+    if len(sups) < 2:
+        return "pass"
+    if sups[-1] > sups[0]:
+        return "fail"
+    windows = [(a + b) / 2 for a, b in zip(sups, sups[1:])]
+    return "pass" if all(y <= x for x, y in zip(windows, windows[1:])) else "warn"
+
+
+def _ln_fit(levels, errors, q, ln):
+    """Least-squares tau of error ~ q^(-2 n tau), logging errors with ln."""
+    pts = [(n, ln(e)) for n, e in zip(levels, errors) if n >= 1 and e > 0]
+    xs, ys = zip(*pts)
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - xbar) * (y - ybar) for x, y in pts)
+             / sum((x - xbar) ** 2 for x in xs))
+    return -slope / (2 * math.log(q))
+
+
+class TestLevelStatistics:
+    """The per-level statistics against their Fraction definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 4,
+                        max_denominator=10 ** 4),
+           st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    @example(Fraction(5, 2), [0, 2, 5, 3])
+    def test_cell_table_matches_fraction_definitions(self, expected, counts):
+        cells = [(f"c{i}",) for i in range(len(counts))]
+        hist = Counter({cell: c for cell, c in zip(cells, counts) if c})
+        rows = []
+        total, sup, mean = _cell_table(4, ("solution_cell",), cells, hist,
+                                       expected, rows)
+        ratios = [Fraction(c) / expected for c in counts]
+        gaps = [abs(r - 1) for r in ratios]
+        assert rows == [{"n": 4, "solution_cell": cell, "empirical_count": c,
+                         "expected": expected, "ratio": r}
+                        for (cell,), c, r in zip(cells, counts, ratios)]
+        assert (total, sup, mean) == (sum(counts), max(gaps), sum(gaps) / len(cells))
+        assert all(type(v) is Fraction for v in (sup, mean, *(r["ratio"] for r in rows)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                    max_size=7))
+    @example([Fraction(3), Fraction(1), Fraction(2), Fraction(1)])
+    @example([Fraction(3), Fraction(2), Fraction(2), Fraction(1)])
+    def test_trend_status_matches_halved_windows(self, sups):
+        assert _trend_status(sups) == _halved_trend(sups)
+
+    def test_fit_exponent_logs_underflowing_errors_on_integers(self):
+        # errors 1/(3 4^n): normal floats up to n = 510, subnormal from 511,
+        # and 0.0 as floats from n = 537 on
+        levels = range(500, 546)
+        errors = [Fraction(1, 3 * 4 ** n) for n in levels]
+        assert float(errors[36]) > 0.0 and float(errors[37]) == 0.0
+        assert _fit_exponent(levels[37:], errors[37:], 2) == pytest.approx(1.0, rel=1e-12)
+        # errors a float holds, subnormal ones too, keep math.log(float(e))
+        for top in (510, 536):
+            ns = range(500, top + 1)
+            assert _fit_exponent(ns, errors[:len(ns)], 2) == \
+                _ln_fit(ns, errors, 2, lambda e: math.log(float(e)))
+        assert _fit_exponent(levels, errors, 2) == _ln_fit(
+            levels, errors, 2, lambda e: math.log(float(e)) if float(e)
+            else math.log(e.numerator) - math.log(e.denominator))
+
+    @pytest.mark.parametrize("q,ideal,m,mp", [(2, "Y", 1, 2), (3, "Y+1", 2, 3),
+                                              (2, "Y^2+Y+1", 1, 3)])
+    def test_main_terms_match_haar_at_every_level(self, q, ideal, m, mp):
+        # the runners scale a level-0 constant by q^(2n); each level must
+        # still equal the Haar formula evaluated at that level
+        cfg = dict(q=q, ideal=ideal, n_min=0, n_max=3, depth_m=m, depth_mp=mp)
+        I = Ideal(poly_from_text(get_field(q), ideal))
+        masses = (Fraction(1, q ** (2 * m)), Fraction(1, q ** mp))
+        for row in run_count(RunConfig(**cfg)).rows:
+            assert row["main_term"] == counting_main_term(I, row["n"])
+        for row in run_joint(RunConfig(experiment="joint", **cfg)).rows:
+            assert row["expected"] == expected_box_count(I, BoxSpec(row["n"], *masses))
+        for row in run_cfe(RunConfig(experiment="cfe", **cfg)).rows:
+            assert row["expected"] == \
+                Fraction(q ** (2 * row["n"]), q ** (mp - 1)) / cfe_prefactor(I)
 
 
 class TestBuildId:
