@@ -22,8 +22,11 @@ only on the top w of a and of Q_k, and Q_{k-1} reaches them only when
 deg a + deg Q_k - deg Q_{k-1} < w.  A state at D = deg Q_k holds those
 windows of Q_k and Q_{k-1} (and m digits of P_k and P_{k-1} for joint), each
 read from its own Q degree down with zeros below Y^0, the gap
-deg Q_k - deg Q_{k-1}, the sign (-1)^(k+1) and, for a proper ideal, the four
-residues mod its generator; each node key is a function of the state.  w is
+deg Q_k - deg Q_{k-1}, the sign (-1)^(k+1) (count, whose keys read no sign,
+keeps it fixed) and, for a proper ideal, the residues of P_k, Q_k, P_{k-1}
+and Q_{k-1} mod its generator up to a common scalar; when every quotient
+degree meets all residues alike (deg gen = 1 and w <= 1), only the point
+(P_k : Q_k) of P^1.  Each node key is a function of the state.  w is
 max(m, mp - 1) for joint, max(1, mp - 1) for cfe (lead(Q_k) is in its key)
 and 0 for count.  The gap is capped at w + 1, not w: a gap of exactly
 mp - 1 = w still puts a nonzero digit at depth mp - 1, so only gaps beyond
@@ -115,10 +118,6 @@ def _work_exponent(cfg: RunConfig, field: Fq) -> int:
     transfer DP lists.  The degree is read off the text, not built."""
     deg = text_degree(field, cfg.ideal)
     return 2 * cfg.n_max + 2 + (0 if deg is NEG_INF else deg)
-
-
-def work_estimate(cfg: RunConfig) -> int:
-    return cfg.q ** _work_exponent(cfg, get_field(cfg.q, cfg.modulus))
 
 
 def _guard_exponent(q: int, guard: int) -> int:
@@ -345,6 +344,23 @@ def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
     return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
+def _canonical_residues(res: Tuple[Poly, ...], uniform: bool) -> Tuple[Poly, ...]:
+    """The residues (P_k, Q_k, P_{k-1}, Q_{k-1}) mod gen of a DP state in the
+    form its keys and successors read: divided by the lead of the first
+    nonzero of (P_k, Q_k), since no key sees a common scalar and the
+    recurrence commutes with one.  When every quotient degree meets all
+    residues alike (`uniform`, so deg gen = 1), rho*v_k + c runs over P^1
+    minus [v_k] for any c off the line of v_k, so (P_{k-1}, Q_{k-1}) becomes
+    the complement (0, 1), or (1, 0) when P_k = 0."""
+    P, Q = res[:2]
+    field = P.field
+    lam = field.inv_t[(Q if P.is_zero() else P).lead]
+    if uniform:
+        return (P.scale(lam), Q.scale(lam)) + (
+            (field.one, field.zero) if P.is_zero() else (field.zero, field.one))
+    return tuple(x.scale(lam) for x in res)
+
+
 def _head_digits(inv: Poly, s: Poly, mp: int) -> Tuple[int, ...]:
     """Digits 1..mp-1 of inv/s: the coefficients of (inv * Y^(mp-1)) // s."""
     head = inv.shift(mp - 1) // s
@@ -385,24 +401,29 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     compiled transfer of the module docstring instead of node by node.  The
     quotients a of degree d act in classes (top w digits, a mod gen) with a
     multiplicity each; the residue is uniform over a class once a has
-    deg gen free digits below its window (below its lead when w = 0)."""
+    deg gen free digits below its window (below its lead when w = 0).  A
+    state's residues are kept in the form of _canonical_residues."""
     q = field.q
     add, mul, neg, inv_t = field.add_t, field.mul_t, field.neg_t, field.inv_t
     w = {"joint": max(m, mp - 1), "cfe": max(1, mp - 1)}.get(kind, 0)
     wp = m if kind == "joint" else 0
     cap = w + 1
     g = 0 if gen is None else gen.degree
-    d0 = max(w + 1, g + max(w, 1) - 1)
+    top = max(w, 1)
+    d0 = max(w + 1, g + top - 1)
     # residues as small ints: the index of the residue in this list
     residues = list(polys_up_to_degree(field, g - 1)) if g else [field.zero]
     code = {p.coeffs: i for i, p in enumerate(residues)}
 
+    def free(d: int) -> int:  # digits of a degree-d quotient below its window
+        return d + 1 - top
+
+    uniform = free(1) >= g  # then every degree's classes meet all residues
+
     def classes(d: int) -> List[Tuple[Tuple[int, ...], int, int]]:
-        top = max(w, 1)
-        free = d + 1 - top
         out: Counter = Counter()
-        if free >= g:
-            each = q ** (free - g)
+        if free(d) >= g:
+            each = q ** (free(d) - g)
             for A in itertools.product(range(q), repeat=top):
                 if A[0]:
                     for rho in range(len(residues)):
@@ -427,6 +448,14 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     @lru_cache(maxsize=None)
     def affine(rho, x, y):
         return code[((residues[rho] * residues[x] + residues[y]) % gen).coeffs]
+
+    # off the uniform side, residues led by a monic P_k (or Q_k) are canonical
+    monic = {i for i, p in enumerate(residues) if p.coeffs and p.lead == 1}
+
+    @lru_cache(maxsize=None)
+    def canonical(*res):
+        return tuple(code[p.coeffs] for p in
+                     _canonical_residues([residues[x] for x in res], uniform))
 
     def head(Q, Q_prev, gap, sign):
         """Digits 1..mp-1 of r^-1/s = sign lead^2 Q_{k-1}/Q_k: the series
@@ -477,12 +506,15 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
 
     def compile_step(sid, d):
         P, Q, P_prev, Q_prev, gap, sign, res = states[sid]
-        shift, new_gap, flip = gap + d, min(d, cap), neg[sign]
+        # count keys read no sign
+        shift, new_gap, flip = gap + d, min(d, cap), neg[sign] if w else sign
         out: Dict[int, int] = defaultdict(int)
         for A, rho, mult in by_degree[d]:
             # (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen
             new_res = res and (affine(rho, res[0], res[2]),
                                affine(rho, res[1], res[3]), res[0], res[1])
+            if res and (uniform or (new_res[0] or new_res[1]) not in monic):
+                new_res = canonical(*new_res)
             out[intern((window(A, P, P_prev, shift, wp), window(A, Q, Q_prev, shift, w),
                         P, Q, new_gap, flip, new_res))] += mult
         successors[(sid, d)] = edges = list(out.items())

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits,
-                               _orbit_size, _transfer_tallies, _tree_block,
+from fqlattice.harness import (RunConfig, _bin_ratios, _canonical_residues,
+                               _head_digits, _orbit_size, _transfer_tallies, _tree_block,
                                run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
@@ -268,6 +268,16 @@ DP_GRID = [
     (7, 2, ("1", "Y", "Y+1", "Y^2+1"), ((2, 3),)),
     (8, 2, ("Y+1", "Y^2+Y+1"), ((1, 2),)),
     (9, 2, ("1", "Y^2+1"), ((2, 3),)),
+    # a degree-1 generator at w <= 1: every quotient degree meets all
+    # residues alike, so a state keeps only the point (P_k : Q_k) of P^1
+    (4, 4, ("Y+[10]",), ((1, 1), (1, 2))),
+    (7, 2, ("Y+3",), ((1, 1), (1, 2))),
+    (8, 2, ("Y+[11]",), ((1, 1), (1, 2))),
+    (9, 2, ("Y+[12]",), ((1, 1), (1, 2))),
+    # residues up to a common scalar only: a reducible generator, and a
+    # degree-1 one at w = 2
+    (2, 6, ("Y^2+Y",), ((1, 1), (1, 3), (2, 3))),
+    (3, 4, ("Y^2", "Y+2"), ((1, 2), (1, 3), (2, 3))),
 ]
 
 
@@ -314,6 +324,19 @@ CARRY_GRID = [
     ("joint", 2, "Y^2+Y+1", 6, 3, 4),    # w = 3, d0 = 4
     ("cfe", 3, "Y", 5, 1, 3),            # w = 2, d0 = 3
     ("count", 3, "Y^2+1", 4, 1, 2),      # w = 0, d0 = 2
+    # the P^1 state: a degree-1 generator at w <= 1
+    ("count", 7, "Y+3", 3, 1, 2),        # w = 0, d0 = 1
+    ("count", 4, "Y+[10]", 3, 1, 1),     # w = 0, d0 = 1
+    ("cfe", 3, "Y+2", 4, 1, 2),          # w = 1, d0 = 2
+    ("joint", 4, "Y+1", 4, 1, 1),        # w = 1, d0 = 2
+    # residues up to a common scalar: reducible generators, and a degree-1
+    # generator at w = 2
+    ("count", 3, "Y^2", 4, 1, 2),        # w = 0, d0 = 2
+    ("joint", 3, "Y^2", 4, 1, 2),        # w = 1, d0 = 2
+    ("cfe", 2, "Y^2+Y", 5, 1, 3),        # w = 2, d0 = 3
+    ("joint", 2, "Y^2+Y", 5, 2, 3),      # w = 2, d0 = 3
+    ("joint", 3, "Y+2", 5, 1, 3),        # w = 2, d0 = 3
+    ("cfe", 3, "Y+1", 5, 2, 3),          # w = 2, d0 = 3
 ]
 
 
@@ -329,6 +352,59 @@ def test_dp_matches_walk_past_the_carry(kind, q, gen, n_max, m, mp):
             {n: t for n, t in walk.items() if n >= n_lo}, n_lo
 
 
+def _unimodular_quadruples(field, gen):
+    """Every (P_k, Q_k, P_{k-1}, Q_{k-1}) mod gen whose determinant
+    P_k Q_{k-1} - P_{k-1} Q_k is a unit mod gen."""
+    residues = {x.coeffs: x for x in polys_up_to_degree(field, gen.degree - 1)}
+    products = {(x, y): (residues[x] * residues[y]).coeffs for x in residues for y in residues}
+    units = {(a, b): is_coprime(field.poly(a) - field.poly(b), gen)
+             for a in set(products.values()) for b in set(products.values())}
+    return [tuple(map(residues.get, (P, Q, P_prev, Q_prev)))
+            for P in residues for Q in residues for P_prev in residues for Q_prev in residues
+            if units[products[P, Q_prev], products[P_prev, Q]]]
+
+
+def _generator(field):
+    """An element of order q - 1: a form blind to it is blind to all of F_q^*."""
+    for x in range(1, field.q):
+        powers, y = {1}, x
+        while y != 1:
+            powers.add(y)
+            y = field.mul(y, x)
+        if len(powers) == field.q - 1:
+            return x
+
+
+# q -> a degree-1 and a degree-2 generator; Y^2+Y and Y^2 are reducible
+CANONICAL_GENS = {2: ("Y+1", "Y^2+Y"), 3: ("Y+2", "Y^2"), 4: ("Y+[10]", "Y^2+Y+[10]"),
+                  5: ("Y+2", "Y^2+Y")}
+
+
+@pytest.mark.parametrize("q", sorted(CANONICAL_GENS))
+def test_canonical_residues_keep_one_state_per_class(q):
+    # the canonical form is idempotent and blind to a common scalar; it
+    # keeps one quadruple per scalar orbit, or, on the uniform side, which
+    # needs deg gen = 1, one per point (P_k : Q_k) of P^1
+    field = get_field(q)
+    lam = _generator(field)
+    for text in CANONICAL_GENS[q]:
+        gen = poly_from_text(field, text)
+        quads = _unimodular_quadruples(field, gen)
+        scaled = {x.coeffs: x.scale(lam).coeffs
+                  for x in polys_up_to_degree(field, gen.degree - 1)}
+        for uniform in (False, True) if gen.degree == 1 else (False,):
+            # quadruple -> its form, as coefficient tuples; every form is
+            # itself a unimodular quadruple, so the table can look it up
+            table = {tuple(x.coeffs for x in res):
+                     tuple(x.coeffs for x in _canonical_residues(res, uniform))
+                     for res in quads}
+            for res, canon in table.items():
+                assert table[tuple(map(scaled.get, res))] == canon, (text, res)
+            image = set(table.values())
+            assert all(table[canon] == canon for canon in image), text
+            assert len(image) == (q + 1 if uniform else len(quads) // (q - 1)), text
+
+
 @pytest.mark.parametrize("q,n_max", [(2, 60), (3, 30)])
 def test_dp_deep_joint_totals(q, n_max):
     # (q - 1) q^(2n - 1) nodes at level n, each under (q - 1)(q + 1) vectors
@@ -339,8 +415,8 @@ def test_dp_deep_joint_totals(q, n_max):
             [(q * q - 1) * (q - 1) * q ** (2 * n - 1) for n in range(1, n_max + 1)]
 
 
-def _window_calls(*args):
-    """Calls of the DP's nested `window`, counted from outside."""
+def _nested_calls(*args):
+    """Calls of the DP's nested functions by name, counted from outside."""
     calls = Counter()
 
     def trace(frame, event, arg):
@@ -352,7 +428,7 @@ def _window_calls(*args):
         _transfer_tallies(*args)
     finally:
         sys.settrace(outer)
-    return calls["window"]
+    return calls
 
 
 @pytest.mark.parametrize("q,gen,kind,m,mp", [(2, "Y+1", "joint", 2, 3),
@@ -362,8 +438,18 @@ def test_dp_compiles_each_step_once(q, gen, kind, m, mp):
     # a successor: the work in `window` is the same at 20 and at 40 levels
     field = get_field(q)
     g = poly_from_text(field, gen)
-    assert _window_calls(field, g, 1, 20, kind, m, mp) == \
-        _window_calls(field, g, 1, 40, kind, m, mp) > 0
+    assert _nested_calls(field, g, 1, 20, kind, m, mp)["window"] == \
+        _nested_calls(field, g, 1, 40, kind, m, mp)["window"] > 0
+
+
+@pytest.mark.parametrize("q", QS)
+def test_count_compiles_one_state_per_point_of_p1(q):
+    # with a degree-1 ideal a count state is the point (P_k : Q_k) of P^1,
+    # so the transfer holds q + 1 states besides the start; `key_of` runs
+    # once per state but the start
+    field = get_field(q)
+    for gen in (field.Y, poly_from_text(field, "Y+1")):
+        assert _nested_calls(field, gen, 1, 12, "count", 1, 2)["key_of"] == q + 1
 
 
 @st.composite
@@ -410,3 +496,10 @@ def test_dp_level_totals_beyond_the_walk():
         walk = _tree_block(get_field(q), get_field(q).Y, 1, 4, "count", 1, 2)
         assert [(q - 1) * sum(c * (len(mus) + blunt) for (mus, blunt), c in t.items())
                 for t in walk.values()] == want[:4]
+    # Y -> Y - c maps the ideal Y+c onto (Y) and keeps every degree, so the
+    # same closed form holds far past the walk, where the count DP keeps only
+    # the point (P_k : Q_k) of P^1
+    for q, gen in ((4, "Y+[10]"), (5, "Y+2"), (7, "Y+3"), (8, "Y+[11]"), (9, "Y+[12]")):
+        count = run_count(RunConfig(q=q, n_min=1, n_max=20, ideal=gen, guard=10 ** 50))
+        assert [r["exact_count"] for r in count.rows] == \
+            [(q - 1) ** 2 * (q ** (2 * n - 1) - 1) for n in range(1, 21)], gen

@@ -26,10 +26,10 @@ from fqlattice.haar import (BoxSpec, cfe_prefactor, counting_main_term,
                            expected_box_count, hecke_index)
 from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _cell_table,
                                _csv_table, _fit_exponent, _trend_status,
-                               build_id, render_report,
+                               _work_exponent, build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
-                               validate_config, work_estimate)
+                               validate_config)
 from fqlattice.lattice import (LatticeVec, lattice_is_sharp, primitive_vectors,
                                sphere_cells)
 
@@ -50,13 +50,14 @@ def _argv(cfg, *extra):
 
 class TestConfig:
     def test_work_estimate(self):
-        assert work_estimate(RunConfig(q=2, n_max=3)) == 2 ** 8
-        assert work_estimate(RunConfig(q=3, n_max=7)) == 3 ** 16
+        # the guard's estimate is q^e = q^(2 n_max + 2 + deg gen)
+        assert _work_exponent(RunConfig(q=2, n_max=3), F2) == 8
+        assert _work_exponent(RunConfig(q=3, n_max=7), F3) == 16
 
     def test_work_estimate_counts_the_ideal_degree(self):
         # the DP lists all q^deg(gen) residues
-        assert work_estimate(RunConfig(q=2, n_max=1, ideal="Y^20")) == 2 ** 24
-        assert work_estimate(RunConfig(q=3, n_max=2, ideal="Y^2-Y^2+Y")) == 3 ** 7
+        assert _work_exponent(RunConfig(q=2, n_max=1, ideal="Y^20"), F2) == 24
+        assert _work_exponent(RunConfig(q=3, n_max=2, ideal="Y^2-Y^2+Y"), F3) == 7
         cfg = dict(q=2, n_max=3, ideal="Y^18")
         validate_config(RunConfig(guard=2 ** 26, **cfg))
         with pytest.raises(ConfigError, match=r"2\^26 = 67108864 exceeds guard 67108863"):
@@ -106,7 +107,7 @@ class TestConfig:
         # q^(2*n_max+2) = 256, but the cells at depths 40 x 40 would make
         # about 2^118 rows; the refusal comes before any cell is built
         cfg = RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40, experiment=experiment)
-        assert work_estimate(cfg) == 256
+        assert _work_exponent(cfg, F2) == 8
         with pytest.raises(ConfigError, match="rows"):
             validate_config(cfg)
         validate_config(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
