@@ -2,7 +2,10 @@
 continued-fraction statistics, verification tables, and report rendering.
 
 Everything is computed in exact arithmetic (integers and Fractions), so a
-report is a pure function of its configuration.
+report is a pure function of its configuration, except for its `# build=`
+line: `git describe --always --dirty` in a checkout, `unknown` elsewhere.
+A report row is a tuple in `columns` order, a `--dump` point one in
+POINT_COLUMNS order; only JSON pairs them with the names, as it writes.
 
 `count`, `joint` and `cfe` tally the nodes of the Euclid tree per level and
 key, for all their levels at once.  Each node is a coprime pair (r, s), s
@@ -58,7 +61,6 @@ import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -169,6 +171,8 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
             raise ConfigError(f"output directory {echo_text(str(out.parent))} does not exist")
     if cfg.q < 2:
         raise ConfigError("q must be a prime power >= 2")
+    if cfg.guard < 1:
+        raise ConfigError("guard must be >= 1")
     top = _guard_exponent(cfg.q, cfg.guard)
     # deg gen >= 0: a bound that needs no field, whose tables take q^2 entries
     _check_work(cfg, 2 * cfg.n_max + 2, top, ">=")
@@ -196,9 +200,9 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
 
 class Report:
     def __init__(self, kind: str, config: RunConfig, columns: Tuple[str, ...],
-                 rows: List[dict], summary: Dict[str, object],
+                 rows: List[tuple], summary: Dict[str, object],
                  warnings: Optional[List[str]] = None,
-                 points: Optional[List[dict]] = None, wall_time_s: float = 0.0):
+                 points: Optional[List[tuple]] = None, wall_time_s: float = 0.0):
         self.kind, self.config, self.columns = kind, config, columns
         self.rows, self.summary = rows, summary
         self.warnings = [] if warnings is None else warnings
@@ -261,12 +265,12 @@ def to_json(report: Report) -> str:
         "config": _config_echo(report.config),
         "warnings": list(report.warnings),
         "columns": list(report.columns),
-        "rows": [_jsonable(r) for r in report.rows],
+        "rows": [_jsonable(dict(zip(report.columns, r))) for r in report.rows],
         "summary": _jsonable(report.summary),
     }
     if report.points is not None:
         payload["point_columns"] = list(POINT_COLUMNS)
-        payload["points"] = [_jsonable(r) for r in report.points]
+        payload["points"] = [_jsonable(dict(zip(POINT_COLUMNS, r))) for r in report.points]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -285,12 +289,13 @@ def _csv_field(v) -> str:
     return '"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\n" in t else t
 
 
-def _csv_table(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    """csv.writer's table of two or more columns.  Each cell object is
-    formatted once, keyed by id(): report rows share and keep them alive."""
+def _csv_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    """csv.writer's table of `columns` and rows of cells in their order.
+    Each cell object is formatted once, keyed by id(): report rows share and
+    keep them alive."""
     texts: Dict[int, str] = {}
     lines = [",".join(map(_csv_field, columns))]
-    for values in map(itemgetter(*columns), rows):
+    for values in rows:
         try:
             lines.append(",".join(map(texts.__getitem__, map(id, values))))
         except KeyError:
@@ -316,8 +321,8 @@ def to_points_csv(report: Report) -> str:
     if report.points is None:
         raise ValueError("report carries no point dump")
     # point rows share no cell objects, so _csv_table's cache would only miss
-    rows = map(itemgetter(*POINT_COLUMNS), report.points)
-    return "\n".join([",".join(map(_csv_field, r)) for r in (POINT_COLUMNS, *rows)]) + "\n"
+    return "\n".join([",".join(map(_csv_field, r))
+                      for r in (POINT_COLUMNS, *report.points)]) + "\n"
 
 
 def render_report(report: Report) -> str:
@@ -673,21 +678,19 @@ def _depth_warning(cfg: RunConfig, floor_exp: Fraction, warnings: List[str]) -> 
             "may be vacuous")
 
 
-def _cell_table(n: int, names: Tuple[str, ...], cells: Sequence[Tuple[str, ...]],
-                hist: Counter, expected: Fraction, rows: List[dict]
+def _cell_table(n: int, cells: Sequence[Tuple[str, ...]], hist: Counter,
+                expected: Fraction, rows: List[tuple]
                 ) -> Tuple[int, Fraction, Fraction]:
-    """Append a row of level n for each cell, a tuple of id texts that is
-    both its histogram key and its `names` columns, and return the level's
-    total count and its sup and mean discrepancy |count/expected - 1|.
+    """Append a row (n, *cell, count, expected, ratio) of level n for each
+    cell, a tuple of id texts that is also its histogram key, and return the
+    level's total count and its sup and mean discrepancy |count/expected - 1|.
     With expected = e/f in lowest terms that gap is |c f - e| / e, so the
     gaps stay integers over e; ratios are computed once per distinct count."""
     e, f = expected.numerator, expected.denominator
     counts = [hist.get(cell, 0) for cell in cells]
     cells_with = Counter(counts)
     ratio = {c: Fraction(c * f, e) for c in cells_with}
-    rows.extend({"n": n, **dict(zip(names, cell)), "empirical_count": c,
-                 "expected": expected, "ratio": ratio[c]}
-                for cell, c in zip(cells, counts))
+    rows.extend((n, *cell, c, expected, ratio[c]) for cell, c in zip(cells, counts))
     gap = {c: abs(c * f - e) for c in cells_with}
     mean = Fraction(sum(gap[c] * k for c, k in cells_with.items()), e * len(cells))
     return (sum(c * k for c, k in cells_with.items()),
@@ -695,7 +698,7 @@ def _cell_table(n: int, names: Tuple[str, ...], cells: Sequence[Tuple[str, ...]]
 
 
 def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
-                 mp: int, warnings: List[str]) -> List[dict]:
+                 mp: int, warnings: List[str]) -> List[tuple]:
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     dumpable = [n for n in levels if n <= 4]
     skipped = [n for n in levels if n > 4]
@@ -707,13 +710,9 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
         for v in primitive_vectors(field, n, ideal):
             w = companion_of(v)
             stat, _ = solution_statistic(v)
-            rows.append({
-                "a": str(v.a), "b": str(v.b),
-                "w_x": str(w.a), "w_y": str(w.b),
-                "norm_exp": n,
-                "direction_cell": theta_ids[lattice_direction_digits(v, n, m)],
-                "solution_cell": dp_ids[stat.expand(1, mp)],
-            })
+            rows.append((str(v.a), str(v.b), str(w.a), str(w.b), n,
+                         theta_ids[lattice_direction_digits(v, n, m)],
+                         dp_ids[stat.expand(1, mp)]))
     return rows
 
 
@@ -734,8 +733,7 @@ def run_count(cfg: RunConfig) -> Report:
         main = main0 * cfg.q ** (2 * n)
         rel = Fraction(abs(total * main.denominator - main.numerator), main.numerator)
         rels.append(rel)
-        rows.append({"n": n, "exact_count": total, "main_term": main,
-                     "relative_error": rel})
+        rows.append((n, total, main, rel))
     asymptotic = [(n, r) for n, r in zip(levels, rels) if n >= 1]
     summary: Dict[str, object] = {}
     for n, r in zip(levels, rels):
@@ -759,7 +757,7 @@ def run_joint(cfg: RunConfig) -> Report:
     expected0 = expected_box_count(I, BoxSpec(0, Fraction(1, q ** (2 * m)),
                                               Fraction(1, q ** mp)))
     _depth_warning(cfg, expected0 * q ** (2 * cfg.n_min), warnings)
-    rows: List[dict] = []
+    rows: List[tuple] = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     sups: List[Fraction] = []
     summary: Dict[str, object] = {}
@@ -772,8 +770,7 @@ def run_joint(cfg: RunConfig) -> Report:
             hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
         else:
             hist, exceptional = hists[n], 0
-        total, sup, mean = _cell_table(n, ("direction_cell", "solution_cell"),
-                                       cells, hist, expected0 * q ** (2 * n), rows)
+        total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)
         if n >= 1:
             sups.append(sup)
         summary[f"total[n={n}]"] = total
@@ -802,15 +799,14 @@ def run_cfe(cfg: RunConfig) -> Report:
     # expected count: q^(2n) times the cell's mass over the prefactor
     expected0 = Fraction(1, q ** (mp - 1)) / pref
     _depth_warning(cfg, expected0 * q ** (2 * cfg.n_min), warnings)
-    rows: List[dict] = []
+    rows: List[tuple] = []
     summary: Dict[str, object] = {"prefactor": pref}
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     cells = [(dp,) for dp in dp_ids.values()]
     nodes = _level_tallies(cfg, field, I, "cfe")
     for n in range(cfg.n_min, cfg.n_max + 1):
         hist = _bin_ratios(field, nodes.get(n, Counter()), dp_ids)
-        total, sup, mean = _cell_table(n, ("solution_cell",), cells, hist,
-                                       expected0 * q ** (2 * n), rows)
+        total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean
@@ -849,8 +845,7 @@ def run_verify(cfg: RunConfig) -> Report:
     rows = []
 
     def add(name: str, formula: str, exact, oracle):
-        rows.append({"name": name, "formula": formula, "exact": str(exact),
-                     "oracle": str(oracle), "match": str(exact) == str(oracle)})
+        rows.append((name, formula, str(exact), str(oracle), str(exact) == str(oracle)))
 
     gens = [I.gen] if not I.gen.is_one() else []
     for d in (1, 2):
@@ -931,7 +926,7 @@ def run_verify(cfg: RunConfig) -> Report:
     rhs = sphere_mass(field.q) * quotient_mass(field.q) * field.q ** 6
     add("constants_chain[n=3]", "c_I*main(n) == sphere*quotient*q^(2n)", lhs, rhs)
 
-    failed = sum(1 for r in rows if not r["match"])
+    failed = sum(1 for r in rows if not r[-1])
     summary = {"passed": len(rows) - failed, "failed": failed}
     return Report("verify", cfg, COLUMNS["verify"], rows, summary, [],
                   None, time.perf_counter() - t0)
@@ -949,11 +944,8 @@ def run_bijection(cfg: RunConfig) -> Report:
                                        elementwise=(n <= 3))
                 if not res.equal:
                     mismatches += 1
-                rows.append({"n": n, "direction_cell": th.id_text(),
-                             "solution_cell": dp.id_text(), "ideal": str(I),
-                             "lattice_count": res.lattice_count,
-                             "matrix_count": res.matrix_count,
-                             "equal": res.equal})
+                rows.append((n, th.id_text(), dp.id_text(), str(I),
+                             res.lattice_count, res.matrix_count, res.equal))
     summary = {"cases": len(rows), "mismatches": mismatches}
     return Report("bijection", cfg, COLUMNS["bijection"], rows, summary, [],
                   None, time.perf_counter() - t0)

@@ -188,7 +188,7 @@ def test_criterion_5_counting_levels_one_to_seven():
                     "n=2 level (observed exact throughout, fitted exponent "
                     "undefined at zero error; window (0, 1/8])", 600.0):
         rep = run_count(RunConfig(q=2, n_min=1, n_max=7))
-        rows = {r["n"]: r for r in rep.rows}
+        rows = {r["n"]: r for r in (dict(zip(rep.columns, t)) for t in rep.rows)}
         assert rows[1]["exact_count"] == 6
         for n in range(1, 8):
             assert rows[n]["main_term"] == Fraction(3, 2) * 4 ** n
@@ -209,7 +209,7 @@ def test_criterion_6_joint_equidistribution_trend():
                     "(Y)-constrained run), marginals match counting", 600.0):
         rep = run_joint(RunConfig(q=2, n_min=2, n_max=7, experiment="joint"))
         count = run_count(RunConfig(q=2, n_min=2, n_max=7))
-        for row in count.rows:
+        for row in (dict(zip(count.columns, t)) for t in count.rows):
             n = row["n"]
             assert rep.summary[f"total[n={n}]"] == row["exact_count"]
             assert rep.summary[f"exceptional[n={n}]"] == 0
@@ -220,7 +220,7 @@ def test_criterion_6_joint_equidistribution_trend():
             # empirical measure equals expectation exactly at every level,
             # so strict decrease is unattainable; pin the exactness instead
             assert final == 0
-            assert all(r["ratio"] == 1 for r in rep.rows)
+            assert all(dict(zip(rep.columns, r))["ratio"] == 1 for r in rep.rows)
         assert rep.summary["trend"] == "pass"
         ywalk = run_joint(RunConfig(q=2, n_min=1, n_max=5, ideal="Y",
                                     experiment="joint"))
@@ -232,7 +232,7 @@ def test_criterion_6_joint_equidistribution_trend():
 def _blunt_histograms(joint_report, field):
     blunt = {c.id_text() for c in sphere_cells(field, 1, sharp=False)}
     hists = {}
-    for r in joint_report.rows:
+    for r in (dict(zip(joint_report.columns, t)) for t in joint_report.rows):
         if r["direction_cell"] in blunt:
             level = hists.setdefault(r["n"], {})
             key = r["solution_cell"]
@@ -261,7 +261,8 @@ def test_criterion_7_continued_fraction_statistic_crosscheck():
             for n in range(n_lo, n_hi + 1):
                 mapped = {_negate_cell(field, r["solution_cell"]):
                           r["empirical_count"]
-                          for r in cfe.rows if r["n"] == n}
+                          for r in (dict(zip(cfe.columns, t)) for t in cfe.rows)
+                          if r["n"] == n}
                 assert mapped == blunt[n]
                 assert cfe.summary[f"total[n={n}]"] == sum(blunt[n].values())
         field = get_field(2)

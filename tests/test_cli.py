@@ -68,6 +68,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "configuration error: workers must be >= 1\n"
 
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_guard_must_be_positive(self, capsys, guard):
+        code, out, err = run(["count", "--guard", guard], capsys)
+        assert code == 2 and out == ""
+        assert err == "configuration error: guard must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["count", "--ideal", "Y^" + "9" * 5000],
         ["count", "--ideal", "Y2" + "x" * 5000],

@@ -42,6 +42,11 @@ GRID = [
 DEPTHS = ((1, 2), (2, 3), (3, 4))
 
 
+def _named(rep):
+    """A report's rows, tuples in column order, as {column: value} dicts."""
+    return [dict(zip(rep.columns, r)) for r in rep.rows]
+
+
 def _tree_vectors(field, n_max, m, mp):
     """(a, b, direction digits, solution digits, small component) per level,
     from the tree: sharp (lam*s, c*lam*s + r) and blunt (r, lam*s), with
@@ -121,10 +126,10 @@ def test_runners_match_oracle_histograms(q, n_max, gen, m, mp):
     cfg = dict(q=q, n_min=1, n_max=n_max, ideal=gen, depth_m=m, depth_mp=mp)
     joint = run_joint(RunConfig(experiment="joint", **cfg))
     count = run_count(RunConfig(**cfg))
-    for n, row in zip(range(1, n_max + 1), count.rows):
+    for n, row in zip(range(1, n_max + 1), _named(count)):
         want = _oracle_histogram(field, n, ideal, m, mp, theta_ids, dp_ids)
         got = Counter({(r["direction_cell"], r["solution_cell"]): r["empirical_count"]
-                       for r in joint.rows if r["n"] == n and r["empirical_count"]})
+                       for r in _named(joint) if r["n"] == n and r["empirical_count"]})
         assert got == want, (n, gen)
         assert row["exact_count"] == sum(want.values())
         assert joint.summary[f"exceptional[n={n}]"] == 0
@@ -174,7 +179,7 @@ def test_cfe_matches_oracle_histograms(q):
                 for digits, count in oracle[n].items():
                     want[dp_ids[digits[:mp - 1]]] += count
                 got = Counter({r["solution_cell"]: r["empirical_count"]
-                               for r in rep.rows
+                               for r in _named(rep)
                                if r["n"] == n and r["empirical_count"]})
                 assert got == want, (n, gen, mp)
                 assert rep.summary[f"total[n={n}]"] == sum(want.values())
@@ -492,7 +497,7 @@ def test_dp_level_totals_beyond_the_walk():
     for q in (2, 3):
         count = run_count(RunConfig(q=q, n_min=1, n_max=20, ideal="Y", guard=big))
         want = [(q - 1) ** 2 * (q ** (2 * n - 1) - 1) for n in range(1, 21)]
-        assert [r["exact_count"] for r in count.rows] == want
+        assert [r["exact_count"] for r in _named(count)] == want
         walk = _tree_block(get_field(q), get_field(q).Y, 1, 4, "count", 1, 2)
         assert [(q - 1) * sum(c * (len(mus) + blunt) for (mus, blunt), c in t.items())
                 for t in walk.values()] == want[:4]
@@ -501,5 +506,5 @@ def test_dp_level_totals_beyond_the_walk():
     # the point (P_k : Q_k) of P^1
     for q, gen in ((4, "Y+[10]"), (5, "Y+2"), (7, "Y+3"), (8, "Y+[11]"), (9, "Y+[12]")):
         count = run_count(RunConfig(q=q, n_min=1, n_max=20, ideal=gen, guard=10 ** 50))
-        assert [r["exact_count"] for r in count.rows] == \
+        assert [r["exact_count"] for r in _named(count)] == \
             [(q - 1) ** 2 * (q ** (2 * n - 1) - 1) for n in range(1, 21)], gen

@@ -48,6 +48,11 @@ def _argv(cfg, *extra):
     return argv + list(extra)
 
 
+def _named(rep):
+    """A report's rows, tuples in column order, as {column: value} dicts."""
+    return [dict(zip(rep.columns, r)) for r in rep.rows]
+
+
 class TestConfig:
     def test_work_estimate(self):
         # the guard's estimate is q^e = q^(2 n_max + 2 + deg gen)
@@ -164,7 +169,7 @@ class TestCount:
     def test_unit_ideal_levels(self):
         rep = run_count(RunConfig(q=2, n_min=0, n_max=3))
         got = [(r["n"], r["exact_count"], r["main_term"], r["relative_error"])
-               for r in rep.rows]
+               for r in _named(rep)]
         assert got == [(0, 3, Fraction(3, 2), 1), (1, 6, 6, 0),
                        (2, 24, 24, 0), (3, 96, 96, 0)]
         assert rep.summary["exactness_observed"] is True
@@ -172,7 +177,7 @@ class TestCount:
 
     def test_ideal_y_levels(self):
         rep = run_count(RunConfig(q=2, n_min=1, n_max=3, ideal="Y"))
-        got = [(r["exact_count"], r["relative_error"]) for r in rep.rows]
+        got = [(r["exact_count"], r["relative_error"]) for r in _named(rep)]
         assert got == [(1, Fraction(1, 2)), (7, Fraction(1, 8)),
                        (31, Fraction(1, 32))]
         assert rep.summary["exactness_observed"] is False
@@ -180,8 +185,8 @@ class TestCount:
 
     def test_q3_anchor(self):
         rep = run_count(RunConfig(q=3, n_min=1, n_max=1))
-        assert rep.rows[0]["exact_count"] == 48
-        assert rep.rows[0]["main_term"] == 48
+        assert _named(rep)[0]["exact_count"] == 48
+        assert _named(rep)[0]["main_term"] == 48
 
 
 class TestJoint:
@@ -190,13 +195,13 @@ class TestJoint:
             joint = run_joint(RunConfig(q=2, n_min=1, n_max=3, ideal=ideal,
                                         experiment="joint"))
             count = run_count(RunConfig(q=2, n_min=1, n_max=3, ideal=ideal))
-            for row in count.rows:
+            for row in _named(count):
                 n = row["n"]
                 assert joint.summary[f"total[n={n}]"] == row["exact_count"]
 
     def test_unit_ideal_exact_uniformity(self):
         rep = run_joint(RunConfig(q=2, n_min=2, n_max=4, experiment="joint"))
-        assert all(r["ratio"] == 1 for r in rep.rows)
+        assert all(r["ratio"] == 1 for r in _named(rep))
         assert rep.summary["trend"] == "pass"
         assert rep.summary["final_sup"] == 0
 
@@ -224,8 +229,8 @@ class TestJoint:
         # the report's rows; the indicator of every cell gives the level
         # total on both the empirical and the expected side
         rep = run_joint(RunConfig(q=2, n_min=2, n_max=2, experiment="joint"))
-        assert sum(r["empirical_count"] for r in rep.rows) == 24
-        assert sum(r["expected"] for r in rep.rows) == 24
+        assert sum(r["empirical_count"] for r in _named(rep)) == 24
+        assert sum(r["expected"] for r in _named(rep)) == 24
         assert rep.summary["total[n=2]"] == 24
 
     def test_perp_cell_system_preserves_totals(self):
@@ -253,7 +258,7 @@ class TestCfe:
 
     def test_exact_uniformity_above_boundary(self):
         rep = run_cfe(RunConfig(q=2, n_min=2, n_max=4, experiment="cfe"))
-        assert all(r["ratio"] == 1 for r in rep.rows)
+        assert all(r["ratio"] == 1 for r in _named(rep))
 
     def _joint_blunt_histogram(self, q, ideal, n):
         field = get_field(q)
@@ -261,7 +266,7 @@ class TestCfe:
                                     experiment="joint"))
         blunt = {c.id_text() for c in sphere_cells(field, 1, sharp=False)}
         hist = Counter()
-        for r in joint.rows:
+        for r in _named(joint):
             if r["direction_cell"] in blunt:
                 hist[r["solution_cell"]] += r["empirical_count"]
         return dict(hist)
@@ -281,7 +286,7 @@ class TestCfe:
             return ".".join(str(field.neg(int(d))) for d in cid.split("."))
 
         mapped = {negate(r["solution_cell"]): r["empirical_count"]
-                  for r in cfe.rows}
+                  for r in _named(cfe)}
         assert mapped == self._joint_blunt_histogram(q, ideal, n)
 
     def test_congruence_filtered_totals(self):
@@ -306,20 +311,20 @@ class TestVerify:
         rep = run_verify(RunConfig(q=2, experiment="verify"))
         assert rep.summary["failed"] == 0
         assert rep.summary["passed"] == len(rep.rows) >= 10
-        assert all(r["match"] for r in rep.rows)
+        assert all(r["match"] for r in _named(rep))
 
     def test_fault_injection_isolates_row(self, monkeypatch):
         monkeypatch.setattr(harness, "hecke_index", lambda I: hecke_index(I) + 1)
         rep = run_verify(RunConfig(q=2, experiment="verify"))
-        bad = {r["name"] for r in rep.rows if not r["match"]}
+        bad = {r["name"] for r in _named(rep) if not r["match"]}
         assert bad and all(name.startswith("hecke_index") for name in bad)
-        good = {r["name"] for r in rep.rows if r["match"]}
+        good = {r["name"] for r in _named(rep) if r["match"]}
         assert not any(name.startswith("hecke_index") for name in good)
 
     def test_sl2_fault_injection(self, monkeypatch):
         monkeypatch.setattr(harness, "sl2_order_mod", lambda q, N: 1)
         rep = run_verify(RunConfig(q=2, experiment="verify"))
-        bad = {r["name"] for r in rep.rows if not r["match"]}
+        bad = {r["name"] for r in _named(rep) if not r["match"]}
         assert bad == {"sl2_order[N=1]", "sl2_order[N=2]"}
 
     def test_q3_verify(self):
@@ -332,8 +337,8 @@ class TestBijectionRun:
         rep = run_bijection(RunConfig(q=2, n_min=0, n_max=2, ideal="Y",
                                       experiment="bijection"))
         assert rep.summary == {"cases": 12, "mismatches": 0}
-        assert all(r["equal"] for r in rep.rows)
-        assert all(r["lattice_count"] == r["matrix_count"] for r in rep.rows)
+        assert all(r["equal"] for r in _named(rep))
+        assert all(r["lattice_count"] == r["matrix_count"] for r in _named(rep))
 
 
 class TestDeterminism:
@@ -404,19 +409,36 @@ class TestSerialization:
         assert len(rep.points) == 6 + 24
         head = to_points_csv(rep).splitlines()[0]
         assert head == "a,b,w_x,w_y,norm_exp,direction_cell,solution_cell"
-        sample = rep.points[0]
+        sample = dict(zip(POINT_COLUMNS, rep.points[0]))
         assert set(sample) == {"a", "b", "w_x", "w_y", "norm_exp",
                                "direction_cell", "solution_cell"}
 
     def test_dump_skips_large_levels(self):
         rep = run_count(RunConfig(q=2, n_min=4, n_max=5, dump=True))
         assert any("skipped levels [5]" in w for w in rep.warnings)
-        assert all(r["norm_exp"] == 4 for r in rep.points)
+        assert all(dict(zip(POINT_COLUMNS, r))["norm_exp"] == 4 for r in rep.points)
 
     def test_points_require_dump(self):
         rep = run_count(RunConfig(q=2, n_min=1, n_max=1))
         with pytest.raises(ValueError):
             to_points_csv(rep)
+
+    @pytest.mark.parametrize("runner,cfg", [
+        (run_count, dict(q=3, n_min=0, n_max=2, ideal="Y+1", dump=True)),
+        (run_joint, dict(q=2, n_min=0, n_max=3, depth_m=2, depth_mp=3, dump=True)),
+        (run_cfe, dict(q=3, n_min=0, n_max=2, ideal="Y", depth_mp=3)),
+        (run_verify, dict(q=2)),
+        (run_bijection, dict(q=2, n_min=0, n_max=1, ideal="Y")),
+    ], ids=["count", "joint", "cfe", "verify", "bijection"])
+    def test_row_arity(self, runner, cfg):
+        # the writers pair cells with columns by position, so a short row
+        # would shift its columns without an error
+        rep = runner(RunConfig(experiment=runner.__name__[4:], **cfg))
+        assert rep.rows and all(type(r) is tuple and len(r) == len(rep.columns)
+                                for r in rep.rows)
+        assert all(type(p) is tuple and len(p) == len(POINT_COLUMNS)
+                   for p in rep.points or ())
+        assert (rep.points is not None) == cfg.get("dump", False)
 
 
 CSV_TEXT = st.text(alphabet=st.sampled_from(',"\n\r ab-1/'), max_size=8)
@@ -433,7 +455,7 @@ def csv_tables(draw):
     pool = draw(st.lists(CSV_VALUES, min_size=1, max_size=12))
     rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=len(columns),
                                   max_size=len(columns)), max_size=12))
-    return columns, [dict(zip(columns, row)) for row in rows]
+    return columns, [tuple(row) for row in rows]
 
 
 class TestCsvTable:
@@ -442,17 +464,14 @@ class TestCsvTable:
 
     @settings(max_examples=300, deadline=None)
     @given(csv_tables())
-    @example((["a", "b"], [{"a": 1, "b": True}, {"a": True, "b": 1},
-                           {"a": Fraction(1), "b": None}, {"a": 0.5, "b": False}]))
-    @example(([" ", "\r", 'x"'], [{" ": "", "\r": "a\rb", 'x"': 'say "y"'},
-                                  {" ": "1,5\n", "\r": " ", 'x"': "-"}]))
+    @example((["a", "b"], [(1, True), (True, 1), (Fraction(1), None), (0.5, False)]))
+    @example(([" ", "\r", 'x"'], [("", "a\rb", 'say "y"'), ("1,5\n", " ", "-")]))
     def test_matches_csv_writer(self, table):
         columns, rows = table
         assert _csv_table(columns, rows) == self.oracle(columns, rows)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.fixed_dictionaries(dict.fromkeys(POINT_COLUMNS, CSV_VALUES)),
-                    max_size=12))
+    @given(st.lists(st.tuples(*[CSV_VALUES] * len(POINT_COLUMNS)), max_size=12))
     def test_points_match_csv_writer(self, points):
         # to_points_csv formats every cell afresh instead of through the cache
         expected = self.oracle(POINT_COLUMNS, points)
@@ -465,7 +484,7 @@ class TestCsvTable:
                 return "true" if v else "false"
             return "-" if v is None else str(v)
 
-        texts = [list(columns)] + [[text(r[c]) for c in columns] for r in rows]
+        texts = [list(columns)] + [[text(v) for v in r] for r in rows]
         # csv quotes a lone '\r' from Python 3.13 on; the reports hold none
         assume(sys.version_info < (3, 13) or "\r" not in "".join(sum(texts, [])))
         buf = io.StringIO()
@@ -474,31 +493,49 @@ class TestCsvTable:
 
 
 class TestGoldenReports:
-    """SHA-256 of CSV reports with the build line masked, as rendered before
-    cfe moved onto the Euclid tree; any change to their bytes shows here."""
+    """SHA-256 of reports with the build line masked (`"build"` in JSON):
+    count, joint and cfe CSV as rendered before cfe moved onto the Euclid
+    tree, the other tables, JSON and --dump points as rendered while rows
+    were dicts; any change to their bytes shows here."""
 
-    @pytest.mark.parametrize("runner,cfg,digest", [
-        pytest.param(*case, id=f"{case[0].__name__[4:]}-q{case[1]['q']}")
+    @pytest.mark.parametrize("write,runner,cfg,digest", [
+        pytest.param(*case, id=("" if case[0] is to_csv else case[0].__name__[3:] + "-")
+                     + f"{case[1].__name__[4:]}-q{case[2]['q']}")
         for case in [
-        (run_count, dict(q=2, n_min=0, n_max=4, ideal="Y"),
+        (to_csv, run_count, dict(q=2, n_min=0, n_max=4, ideal="Y"),
          "5a11d07c7d23a0ac72d5550222f6d18c680f2a30c8614e2366c274186bd72e0c"),
-        (run_count, dict(q=3, n_min=1, n_max=3, ideal="Y+1"),
+        (to_csv, run_count, dict(q=3, n_min=1, n_max=3, ideal="Y+1"),
          "6a0e2bc2b3e59fa584ad75cdde7fd2af90dfdcaf5e6581326434fcf83acfef70"),
-        (run_joint, dict(q=2, n_min=0, n_max=3, depth_m=2, depth_mp=3),
+        (to_csv, run_joint, dict(q=2, n_min=0, n_max=3, depth_m=2, depth_mp=3),
          "6a76d4680ebae3ba5079c213d81b4d535448bb5a53fe0a25c37c723b55543d98"),
-        (run_joint, dict(q=3, n_min=1, n_max=2, ideal="Y^2+1"),
+        (to_csv, run_joint, dict(q=3, n_min=1, n_max=2, ideal="Y^2+1"),
          "b2e09198157e036379ac767ce9589b56ff17662243d6fbbcadcda552394bca1d"),
-        (run_cfe, dict(q=2, n_min=0, n_max=4, ideal="Y", depth_mp=3),
+        (to_csv, run_cfe, dict(q=2, n_min=0, n_max=4, ideal="Y", depth_mp=3),
          "d7adbd9dbbee48aa729ff322cb627cc0daefc63858019c82c6daa4030ecdf5ba"),
-        (run_cfe, dict(q=4, n_min=1, n_max=2, ideal="Y+1"),
+        (to_csv, run_cfe, dict(q=4, n_min=1, n_max=2, ideal="Y+1"),
          "8252e4cd8a1e756e7c139319db9be2d7599cf1f8e7b17402af2fc5224df9c154"),
-        (run_cfe, dict(q=9, n_min=1, n_max=2, depth_mp=3),
+        (to_csv, run_cfe, dict(q=9, n_min=1, n_max=2, depth_mp=3),
          "fc15bc330ffb4daf1244bb220e64c2eaceb917217a4aa0db76b515e3a11acb3b"),
+        (to_csv, run_verify, dict(q=2),
+         "2d25a8020c99698bff4610bb43e59b43cd1bef3dd07ace6e839a08e8589b9739"),
+        (to_csv, run_bijection, dict(q=2, n_min=0, n_max=2),
+         "3790c75a7a7b64471c8faa288833c8feee0e23f8a9a06d76e704d0e88b75680e"),
+        (to_json, run_count, dict(q=3, n_min=0, n_max=3, ideal="Y+1"),
+         "18d3c0f2bbad3d5db230e02de1757d3c026c1cd5ee996738256ed420bce335dc"),
+        (to_json, run_joint, dict(q=2, n_min=0, n_max=3, ideal="Y", depth_m=2,
+                                  depth_mp=2, dump=True),
+         "6e011ab177890926c2a36c51f45bf425a2b06c6c97d5ad0d3a0856857bb8ae81"),
+        (to_json, run_cfe, dict(q=3, n_min=1, n_max=3, ideal="Y", depth_mp=2),
+         "90c6d4a6ab034da010e25629fc28918d3f204f7f6817689cc59081730e422340"),
+        (to_points_csv, run_count, dict(q=2, n_min=0, n_max=3, ideal="Y", dump=True),
+         "b1184abcbbed55d7701be89d29fc6af24ed02abafe3d5f0ffb3be2c4fc32d741"),
+        (to_points_csv, run_joint, dict(q=3, n_min=1, n_max=2, depth_mp=3, dump=True),
+         "8d7fd4e72e6331587b86579034d8e8972c3cf3394dec56f8ef895f2e13dcaa35"),
     ]])
-    def test_masked_digest(self, runner, cfg, digest):
+    def test_masked_digest(self, write, runner, cfg, digest):
         kind = runner.__name__[len("run_"):]
-        text = to_csv(runner(RunConfig(experiment=kind, **cfg)))
-        masked = re.sub(r"^# build=.*$", "# build=*", text, flags=re.MULTILINE)
+        text = write(runner(RunConfig(experiment=kind, **cfg)))
+        masked = re.sub(r'^(# build=|  "build": ).*$', r"\1*", text, flags=re.MULTILINE)
         assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
     @pytest.fixture(scope="class")
@@ -566,15 +603,15 @@ class TestLevelStatistics:
         cells = [(f"c{i}",) for i in range(len(counts))]
         hist = Counter({cell: c for cell, c in zip(cells, counts) if c})
         rows = []
-        total, sup, mean = _cell_table(4, ("solution_cell",), cells, hist,
-                                       expected, rows)
+        total, sup, mean = _cell_table(4, cells, hist, expected, rows)
+        named = [dict(zip(harness.COLUMNS["cfe"], r)) for r in rows]
         ratios = [Fraction(c) / expected for c in counts]
         gaps = [abs(r - 1) for r in ratios]
-        assert rows == [{"n": 4, "solution_cell": cell, "empirical_count": c,
-                         "expected": expected, "ratio": r}
-                        for (cell,), c, r in zip(cells, counts, ratios)]
+        assert named == [{"n": 4, "solution_cell": cell, "empirical_count": c,
+                          "expected": expected, "ratio": r}
+                         for (cell,), c, r in zip(cells, counts, ratios)]
         assert (total, sup, mean) == (sum(counts), max(gaps), sum(gaps) / len(cells))
-        assert all(type(v) is Fraction for v in (sup, mean, *(r["ratio"] for r in rows)))
+        assert all(type(v) is Fraction for v in (sup, mean, *(r["ratio"] for r in named)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
@@ -608,11 +645,11 @@ class TestLevelStatistics:
         cfg = dict(q=q, ideal=ideal, n_min=0, n_max=3, depth_m=m, depth_mp=mp)
         I = Ideal(poly_from_text(get_field(q), ideal))
         masses = (Fraction(1, q ** (2 * m)), Fraction(1, q ** mp))
-        for row in run_count(RunConfig(**cfg)).rows:
+        for row in _named(run_count(RunConfig(**cfg))):
             assert row["main_term"] == counting_main_term(I, row["n"])
-        for row in run_joint(RunConfig(experiment="joint", **cfg)).rows:
+        for row in _named(run_joint(RunConfig(experiment="joint", **cfg))):
             assert row["expected"] == expected_box_count(I, BoxSpec(row["n"], *masses))
-        for row in run_cfe(RunConfig(experiment="cfe", **cfg)).rows:
+        for row in _named(run_cfe(RunConfig(experiment="cfe", **cfg))):
             assert row["expected"] == \
                 Fraction(q ** (2 * row["n"]), q ** (mp - 1)) / cfe_prefactor(I)
 
