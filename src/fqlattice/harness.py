@@ -2,8 +2,8 @@
 continued-fraction statistics, verification tables, and report rendering.
 
 Everything is computed in exact arithmetic (integers and Fractions), so a
-report is a pure function of its configuration, except for its `# build=`
-line: `git describe --always --dirty` in a checkout, `unknown` elsewhere.
+report is a pure function of its configuration and the package version,
+which its `# build=` line stamps.
 A report row is a tuple in `columns` order, a `--dump` point one in
 POINT_COLUMNS order; only JSON pairs them with the names, as it writes.
 
@@ -56,7 +56,6 @@ import itertools
 import json
 import math
 import os
-import subprocess
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -64,6 +63,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import __version__
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
                     convergents, shortest_solution)
 from .field import (NEG_INF, Fq, Ideal, Poly, get_field, is_coprime,
@@ -209,24 +209,9 @@ class Report:
         self.points, self.wall_time_s = points, wall_time_s
 
 
-# the source checkout this module runs from, if it runs from one
-_CHECKOUT = Path(__file__).resolve().parents[2]
-
-
-@lru_cache(maxsize=1)
 def build_id() -> str:
-    """`git describe` of the checkout the package runs from; "unknown" for
-    any other copy, so an installed one never stamps the hash of a
-    repository it happens to sit in."""
-    if not (_CHECKOUT / ".git").exists():
-        return "unknown"
-    try:
-        out = subprocess.check_output(
-            ["git", "-C", str(_CHECKOUT), "describe", "--always", "--dirty"],
-            text=True, stderr=subprocess.DEVNULL)
-        return out.strip() or "unknown"
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+    """The package version that a report's `# build=` line stamps."""
+    return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +334,49 @@ def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
     return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
-def _canonical_residues(res: Tuple[Poly, ...], uniform: bool) -> Tuple[Poly, ...]:
-    """The residues (P_k, Q_k, P_{k-1}, Q_{k-1}) mod gen of a DP state in the
-    form its keys and successors read: divided by the lead of the first
-    nonzero of (P_k, Q_k), since no key sees a common scalar and the
+def _residue_arithmetic(field: Fq, gen: Optional[Poly], uniform: bool):
+    """The residues mod gen as ints: their index in `residues`, found by
+    `code` of their coefficients.  Returns those two, the lead of each
+    residue, affine(rho, x, y) = rho*x + y mod gen, and
+    canonical(P_k, Q_k, P_{k-1}, Q_{k-1}): a DP state's residues in the form
+    its keys and successors read.  That form divides them by the lead of the
+    first nonzero of (P_k, Q_k), since no key sees a common scalar and the
     recurrence commutes with one.  When every quotient degree meets all
     residues alike (`uniform`, so deg gen = 1), rho*v_k + c runs over P^1
     minus [v_k] for any c off the line of v_k, so (P_{k-1}, Q_{k-1}) becomes
-    the complement (0, 1), or (1, 0) when P_k = 0."""
-    P, Q = res[:2]
-    field = P.field
-    lam = field.inv_t[(Q if P.is_zero() else P).lead]
-    if uniform:
-        return (P.scale(lam), Q.scale(lam)) + (
-            (field.one, field.zero) if P.is_zero() else (field.zero, field.one))
-    return tuple(x.scale(lam) for x in res)
+    the complement (0, 1), or (1, 0) when P_k = 0.  Both functions read
+    tables: the rows of rho*x and of u + y, built on first use, and a
+    scaling row per lambda in F_q^*, built once."""
+    residues = list(polys_up_to_degree(field, (0 if gen is None else gen.degree) - 1))
+    code = {p.coeffs: i for i, p in enumerate(residues)}
+    one = code.get((1,))
+
+    @lru_cache(maxsize=None)
+    def times(rho):
+        r = residues[rho]
+        return [code[(r * x % gen).coeffs] for x in residues]
+
+    @lru_cache(maxsize=None)
+    def plus(u):
+        return [code[(residues[u] + y).coeffs] for y in residues]
+
+    @lru_cache(maxsize=None)
+    def affine(rho, x, y):
+        return plus(times(rho)[x])[y]
+
+    scaled = [None] + [[code[x.scale(lam).coeffs] for x in residues]
+                       for lam in range(1, field.q)]
+    lead = [x.coeffs[-1] if x.coeffs else 0 for x in residues]
+
+    @lru_cache(maxsize=None)
+    def canonical(*res):
+        P, Q = res[:2]
+        row = scaled[field.inv_t[lead[P or Q]]]
+        if uniform:
+            return (row[P], row[Q]) + ((0, one) if P else (one, 0))
+        return tuple(row[x] for x in res)
+
+    return residues, code, lead, affine, canonical
 
 
 def _head_digits(inv: Poly, s: Poly, mp: int) -> Tuple[int, ...]:
@@ -405,9 +418,10 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     """The tallies of _tree_block, counted per (level, state) by the
     compiled transfer of the module docstring instead of node by node.  The
     quotients a of degree d act in classes (top w digits, a mod gen) with a
-    multiplicity each; the residue is uniform over a class once a has
-    deg gen free digits below its window (below its lead when w = 0).  A
-    state's residues are kept in the form of _canonical_residues."""
+    multiplicity each, grouped by their top digits, so that a successor's
+    windows are computed once per top; the residue is uniform over a class
+    once a has deg gen free digits below its window (below its lead when
+    w = 0).  A state's residues are kept in the form of _residue_arithmetic."""
     q = field.q
     add, mul, neg, inv_t = field.add_t, field.mul_t, field.neg_t, field.inv_t
     w = {"joint": max(m, mp - 1), "cfe": max(1, mp - 1)}.get(kind, 0)
@@ -416,28 +430,28 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     g = 0 if gen is None else gen.degree
     top = max(w, 1)
     d0 = max(w + 1, g + top - 1)
-    # residues as small ints: the index of the residue in this list
-    residues = list(polys_up_to_degree(field, g - 1)) if g else [field.zero]
-    code = {p.coeffs: i for i, p in enumerate(residues)}
 
     def free(d: int) -> int:  # digits of a degree-d quotient below its window
         return d + 1 - top
 
     uniform = free(1) >= g  # then every degree's classes meet all residues
+    residues, code, lead, affine, canonical = _residue_arithmetic(field, gen, uniform)
 
-    def classes(d: int) -> List[Tuple[Tuple[int, ...], int, int]]:
-        out: Counter = Counter()
+    def classes(d: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
+        """The quotients of degree d by their top w digits A: (A, [(a mod
+        gen, multiplicity)])."""
+        out: Dict[Tuple[int, ...], Counter] = defaultdict(Counter)
         if free(d) >= g:
             each = q ** (free(d) - g)
             for A in itertools.product(range(q), repeat=top):
                 if A[0]:
                     for rho in range(len(residues)):
-                        out[(A[:w], rho)] += each
+                        out[A[:w]][rho] += each
         else:
             for a in polys_of_degree(field, d):
                 rho = 0 if gen is None else code[(a % gen).coeffs]
-                out[(tuple(a.coeff(d - j) for j in range(w)), rho)] += 1
-        return [(A, rho, mult) for (A, rho), mult in out.items()]
+                out[tuple(a.coeff(d - j) for j in range(w))][rho] += 1
+        return [(A, list(rhos.items())) for A, rhos in out.items()]
 
     def window(A, W, W_prev, shift, width):
         """Top `width` coefficients of a*X + X_prev, where W holds X and
@@ -449,18 +463,6 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                 c = add[c][mul[A[j]][W[i - j]]]
             out.append(c)
         return tuple(out)
-
-    @lru_cache(maxsize=None)
-    def affine(rho, x, y):
-        return code[((residues[rho] * residues[x] + residues[y]) % gen).coeffs]
-
-    # off the uniform side, residues led by a monic P_k (or Q_k) are canonical
-    monic = {i for i, p in enumerate(residues) if p.coeffs and p.lead == 1}
-
-    @lru_cache(maxsize=None)
-    def canonical(*res):
-        return tuple(code[p.coeffs] for p in
-                     _canonical_residues([residues[x] for x in res], uniform))
 
     def head(Q, Q_prev, gap, sign):
         """Digits 1..mp-1 of r^-1/s = sign lead^2 Q_{k-1}/Q_k: the series
@@ -514,14 +516,18 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
         # count keys read no sign
         shift, new_gap, flip = gap + d, min(d, cap), neg[sign] if w else sign
         out: Dict[int, int] = defaultdict(int)
-        for A, rho, mult in by_degree[d]:
-            # (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen
-            new_res = res and (affine(rho, res[0], res[2]),
-                               affine(rho, res[1], res[3]), res[0], res[1])
-            if res and (uniform or (new_res[0] or new_res[1]) not in monic):
-                new_res = canonical(*new_res)
-            out[intern((window(A, P, P_prev, shift, wp), window(A, Q, Q_prev, shift, w),
-                        P, Q, new_gap, flip, new_res))] += mult
+        for A, rhos in by_degree[d]:
+            P_new = window(A, P, P_prev, shift, wp)
+            Q_new = window(A, Q, Q_prev, shift, w)
+            for rho, mult in rhos:
+                # (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen
+                new_res = res and (affine(rho, res[0], res[2]),
+                                   affine(rho, res[1], res[3]), res[0], res[1])
+                # off the uniform side, residues led by a monic P_k (or Q_k)
+                # are canonical already
+                if res and (uniform or lead[new_res[0] or new_res[1]] != 1):
+                    new_res = canonical(*new_res)
+                out[intern((P_new, Q_new, P, Q, new_gap, flip, new_res))] += mult
         successors[(sid, d)] = edges = list(out.items())
         return edges
 

@@ -471,7 +471,7 @@ def test_import_loads_no_dataclasses_or_inspect():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import fqlattice.cli\n"
-        "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect'}"
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'subprocess'}"
         " & (set(sys.modules) - before)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _canonical_residues,
-                               _head_digits, _orbit_size, _transfer_tallies, _tree_block,
+from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits, _orbit_size,
+                               _residue_arithmetic, _transfer_tallies, _tree_block,
                                run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
@@ -398,16 +398,31 @@ def test_canonical_residues_keep_one_state_per_class(q):
         scaled = {x.coeffs: x.scale(lam).coeffs
                   for x in polys_up_to_degree(field, gen.degree - 1)}
         for uniform in (False, True) if gen.degree == 1 else (False,):
+            residues, code, _, _, canonical = _residue_arithmetic(field, gen, uniform)
             # quadruple -> its form, as coefficient tuples; every form is
             # itself a unimodular quadruple, so the table can look it up
             table = {tuple(x.coeffs for x in res):
-                     tuple(x.coeffs for x in _canonical_residues(res, uniform))
+                     tuple(residues[c].coeffs for c in canonical(*(code[x.coeffs] for x in res)))
                      for res in quads}
             for res, canon in table.items():
                 assert table[tuple(map(scaled.get, res))] == canon, (text, res)
             image = set(table.values())
             assert all(table[canon] == canon for canon in image), text
             assert len(image) == (q + 1 if uniform else len(quads) // (q - 1)), text
+
+
+@pytest.mark.parametrize("q", sorted(CANONICAL_GENS))
+def test_residue_affine_matches_poly_arithmetic(q):
+    # the DP's rho*x + y mod gen, read from its tables, against Poly
+    # arithmetic on every triple of residues
+    field = get_field(q)
+    for text in CANONICAL_GENS[q]:
+        gen = poly_from_text(field, text)
+        residues, _, _, affine, _ = _residue_arithmetic(field, gen, False)
+        for rho, r in enumerate(residues):
+            for x, u in enumerate(residues):
+                for y, v in enumerate(residues):
+                    assert residues[affine(rho, x, y)] == (r * u + v) % gen, (text, r, u, v)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 60), (3, 30)])

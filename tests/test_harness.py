@@ -7,7 +7,6 @@ import io
 import json
 import math
 import re
-import shutil
 import subprocess
 import sys
 import time
@@ -19,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import fqlattice
 from fqlattice import harness
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
@@ -356,6 +356,18 @@ class TestDeterminism:
                 assert capsys.readouterr().out == want
 
 
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Refuse both ways a run could start a process: a multiprocessing
+    worker and a subprocess child."""
+    import multiprocessing.process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner started a process")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
 class TestWorkerCap:
     """The runners work in one process: --workers is accepted and validated
     but opens no pool, and the reports do not depend on it."""
@@ -363,14 +375,6 @@ class TestWorkerCap:
     RUNS = ((run_count, dict(q=3, n_min=0, n_max=3)),
             (run_joint, dict(q=2, n_min=1, n_max=4, ideal="Y", experiment="joint")),
             (run_cfe, dict(q=2, n_min=1, n_max=4, experiment="cfe")))
-
-    @pytest.fixture
-    def no_processes(self, monkeypatch):
-        import multiprocessing.process
-
-        def refuse(process):
-            raise AssertionError("a runner started a process")
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
     @pytest.mark.parametrize("workers", [4, 64])
     def test_no_runner_opens_a_pool(self, no_processes, workers, capsys):
@@ -655,22 +659,11 @@ class TestLevelStatistics:
 
 
 class TestBuildId:
-    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-    def test_only_its_own_checkout_is_described(self, tmp_path, monkeypatch):
-        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
-        subprocess.run(git + ["init", "-q"], check=True)
-        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
-        head = subprocess.check_output(git + ["rev-parse", "--short", "HEAD"],
-                                       text=True).strip()
-        try:
-            monkeypatch.setattr(harness, "_CHECKOUT", tmp_path)
-            build_id.cache_clear()
-            assert build_id() == head
-            # a copy below that repository, but not its root, runs no git at all
-            (tmp_path / "lib").mkdir()
-            monkeypatch.setattr(harness, "_CHECKOUT", tmp_path / "lib")
-            monkeypatch.setattr(subprocess, "check_output", None)
-            build_id.cache_clear()
-            assert build_id() == "unknown"
-        finally:
-            build_id.cache_clear()
+    def test_reports_stamp_the_package_version(self, no_processes, capsys):
+        # the build line is the package version, so a report is the same
+        # bytes in a git checkout and in any other copy, and no call runs git
+        assert build_id() == fqlattice.__version__
+        assert main(["joint", "--q", "2", "--n-max", "2"]) == 0
+        assert f"# build={fqlattice.__version__}\n" in capsys.readouterr().out
+        assert main(["count", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["build"] == fqlattice.__version__
