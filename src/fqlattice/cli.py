@@ -18,7 +18,7 @@ from .field import echo_text
 from .harness import (ConfigError, Report, RunConfig, RUNNERS, render_report,
                       to_points_csv)
 
-EXPERIMENTS = ("count", "joint", "cfe", "verify", "bijection")
+EXPERIMENTS = tuple(RUNNERS)
 
 # the options every subcommand takes: flag, dest, kind, default, help, choices;
 # config_from_args fills the level range

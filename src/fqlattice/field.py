@@ -163,10 +163,11 @@ class Fq:
         return "".join(str(x) for x in reversed(self._unpack(a))).lstrip("0") or "0"
 
     def element_from_text(self, s: str) -> int:
-        """Inverse of element_text: base-p digits, value below q."""
+        """Inverse of element_text: decimal when d = 1, base-p digits
+        otherwise; value below q."""
         if not s or any(not c.isdigit() or int(c) >= self.p for c in s):
             raise ValueError(f"coefficient {echo_text(s)} is not a base-{self.p} digit string")
-        v = int(s, self.p)
+        v = int(s, 10 if self.d == 1 else self.p)
         if v >= self.q:
             raise ValueError(f"coefficient {echo_text(s)} is out of range for q={self.q}")
         return v

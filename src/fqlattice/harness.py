@@ -912,17 +912,14 @@ def run_verify(cfg: RunConfig) -> Report:
                 sh_bad += 1
     add("shortest_solution[deg<=2]", "CF formula vs brute-force minimizer", 0, sh_bad)
 
-    bij_bad = 0
-    for n in range(0, 3):
-        for th in sphere_cells(field, 1, sharp=True):
-            for dp in domain_cells(field, 2):
-                if not verify_bijection(field, n, th, dp, I).equal:
-                    bij_bad += 1
+    bij_bad = sum(not res.equal for n in range(0, 3)
+                  for res in verify_bijection(field, n, 1, 2, I).values())
     add("bijection[n<=2]", "lattice image == matrix-side box scan", 0, bij_bad)
 
     th0 = sphere_cells(field, 1, sharp=True)[0]
     dp0 = domain_cells(field, 2)[0]
-    mats = matrix_side_enumerate(field, 1, th0, dp0)
+    mats = matrix_side_enumerate(field, 1, 1, 2).get(
+        (th0.x_digits, th0.y_digits, dp0.digits), [])
     kern = kernel_elements(field, 3)
     flips = count_membership_flips(mats, 1, th0, dp0, kern, expect=True)
     add("box_stability[n=1]", "membership invariant under kernel perturbation",
@@ -944,14 +941,11 @@ def run_bijection(cfg: RunConfig) -> Report:
     rows = []
     mismatches = 0
     for n in range(cfg.n_min, cfg.n_max + 1):
-        for th in sphere_cells(field, cfg.depth_m, sharp=True):
-            for dp in domain_cells(field, cfg.depth_mp):
-                res = verify_bijection(field, n, th, dp, I,
-                                       elementwise=(n <= 3))
-                if not res.equal:
-                    mismatches += 1
-                rows.append((n, th.id_text(), dp.id_text(), str(I),
-                             res.lattice_count, res.matrix_count, res.equal))
+        for (th, dp), res in verify_bijection(field, n, cfg.depth_m, cfg.depth_mp, I).items():
+            if not res.equal:
+                mismatches += 1
+            rows.append((n, th.id_text(), dp.id_text(), str(I),
+                         res.lattice_count, res.matrix_count, res.equal))
     summary = {"cases": len(rows), "mismatches": mismatches}
     return Report("bijection", cfg, COLUMNS["bijection"], rows, summary, [],
                   None, time.perf_counter() - t0)

@@ -4,10 +4,12 @@ enumeration of measurement boxes.
 A primitive vector v = (a, b) with |a| >= |b| has a unique companion w with
 det(v | w) = 1 and first companion coordinate in the open unit ball after
 division by a; gluing them column-wise gives a determinant-one matrix with
-polynomial entries.  The same set of matrices can be produced purely on the
-matrix side from the triangular factorization predicates, and the two
-enumerations are kept logically independent above the shared polynomial
-arithmetic so that comparing them is an actual check.
+polynomial entries.  The same matrices come purely from the matrix side,
+where `box_cell` reads the box of a matrix off its triangular factors.
+`verify_bijection` scans a level once per side, the vector side binned by
+coefficient digits and the matrix side by `box_cell`, and compares every
+box; the two stay independent above the shared polynomial arithmetic, so
+comparing them is an actual check.
 
 Coprime pairs come two ways: `euclid_tree` builds them from continued
 fractions with their modular inverses and no gcd; `primitive_vectors`, the
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import Fq, Ideal, Poly, is_coprime, poly_xgcd, polys_of_degree, polys_up_to_degree
 from .haar import Mat2
@@ -262,39 +264,36 @@ def solution_statistic(v: LatticeVec) -> Tuple[RationalFn, bool]:
 
 
 # ---------------------------------------------------------------------------
-# matrix-side enumeration
+# matrix-side enumeration and the box correspondence
 # ---------------------------------------------------------------------------
 
 
-def box_contains(g: Mat2, n: int, theta: SphereCell, dprime: DomainCell) -> bool:
-    """Membership of a determinant-one matrix in the level-n product box.
+BoxKey = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
-    Equivalent to: the lower-parabolic factor is integral with direction
-    column in theta, the diagonal exponent is n, and the upper-unipotent
-    entry falls in dprime.  All four conditions read off the entries.
-    """
+
+def box_cell(g: Mat2, n: int, m: int, mp: int) -> Optional[BoxKey]:
+    """The (theta x, theta y, dprime) digits of the level-n box of depths
+    (m, mp) holding a determinant-one matrix, or None.  g is in one when its
+    lower-parabolic factor is integral (sharp first column) with diagonal
+    exponent n and its upper-unipotent entry g.b / alpha lies in the open
+    unit ball; the digits are those of the first column over Y^n and of
+    g.b / alpha, all read off the entries."""
     alpha, beta = g.a, g.c
-    if alpha.is_zero():
-        return False
-    if alpha.abs_exp() != n:
-        return False
-    if not is_sharp(PlaneVec(alpha, beta)):
-        return False
+    if alpha.abs_exp() != n or not is_sharp(PlaneVec(alpha, beta)):
+        return None
+    u = g.b / alpha
+    if u.valuation() < 1:
+        return None
     scale = pi_pow(g.field, n)
-    if not in_cell(alpha * scale, 0, theta.x_digits):
-        return False
-    if not in_cell(beta * scale, 0, theta.y_digits):
-        return False
-    return dprime.contains(g.b / alpha)
+    return (alpha * scale).expand(0, m), (beta * scale).expand(0, m), u.expand(1, mp)
 
 
-def matrix_side_enumerate(field: Fq, n: int, theta: SphereCell,
-                          dprime: DomainCell,
-                          ideal: Optional[Ideal] = None) -> List[Mat2]:
-    """Determinant-one polynomial matrices in the box, lower-left entry in
-    the ideal.  Scans candidate first columns, solves for the second column,
-    and keeps the unique unit-ball translate passing the box predicates."""
-    out = []
+def matrix_side_enumerate(field: Fq, n: int, m: int, mp: int,
+                          ideal: Optional[Ideal] = None) -> Dict[BoxKey, List[Mat2]]:
+    """Determinant-one polynomial matrices of level n, lower-left entry in
+    the ideal, binned by `box_cell`.  Scans candidate first columns once,
+    solves for the second column, and keeps its unit-ball translate."""
+    out: Dict[BoxKey, List[Mat2]] = {}
     for a in polys_of_degree(field, n):
         for b in polys_up_to_degree(field, n):
             if ideal is not None and not ideal.contains(b):
@@ -306,8 +305,9 @@ def matrix_side_enumerate(field: Fq, n: int, theta: SphereCell,
             q_, c = divmod(-y0, a)
             d = x0 - q_ * b
             cand = Mat2.from_polys(a, c, b, d)
-            if box_contains(cand, n, theta, dprime):
-                out.append(cand)
+            key = box_cell(cand, n, m, mp)
+            if key is not None:
+                out.setdefault(key, []).append(cand)
     return out
 
 
@@ -319,25 +319,32 @@ class BijectionResult(NamedTuple):
     extra: Tuple[Mat2, ...]
 
 
-def verify_bijection(field: Fq, n: int, theta: SphereCell, dprime: DomainCell,
-                     ideal: Optional[Ideal] = None,
-                     elementwise: bool = True) -> BijectionResult:
-    """Compare the vector-side image {gamma_of(v)} with the matrix-side scan."""
-    if not theta.sharp:
-        raise ValueError("correspondence cells must sit in the sharp hemisphere")
-    # theta pins a nonzero digit of a at Y^n, so its vectors are sharp
-    lattice_side = [gamma_of(v) for v in primitive_vectors(field, n, ideal)
-                    if theta.contains_lattice(v, n)
-                    and dprime.contains(rat(w_of(v).a, v.a))]
-    matrix_side = matrix_side_enumerate(field, n, theta, dprime, ideal)
-    if not elementwise:
-        eq = len(lattice_side) == len(matrix_side)
-        return BijectionResult(len(lattice_side), len(matrix_side), eq, (), ())
-    lset, mset = set(lattice_side), set(matrix_side)
-    missing = tuple(sorted(mset - lset, key=lambda g: str(g)))
-    extra = tuple(sorted(lset - mset, key=lambda g: str(g)))
-    equal = not missing and not extra and len(lattice_side) == len(matrix_side)
-    return BijectionResult(len(lattice_side), len(matrix_side), equal, missing, extra)
+def verify_bijection(field: Fq, n: int, m: int, mp: int, ideal: Optional[Ideal] = None
+                     ) -> Dict[Tuple[SphereCell, DomainCell], BijectionResult]:
+    """Compare the vector-side image {gamma_of(v)} with the matrix-side scan
+    in every sharp box of level n and depths (m, mp), in canonical cell
+    order.  Each side scans the level once; `missing` holds the matrices the
+    vector side lacks, `extra` those the matrix side lacks."""
+    lattice_side: Dict[BoxKey, List[Mat2]] = {}
+    for v in primitive_vectors(field, n, ideal):
+        x, y = lattice_direction_digits(v, n, m)
+        if x[0] == 0:  # deg a < n: the blunt hemisphere, which holds no box
+            continue
+        g = gamma_of(v)
+        u = g.b / g.a  # x_w / a for the companion w
+        if u.valuation() >= 1:
+            lattice_side.setdefault((x, y, u.expand(1, mp)), []).append(g)
+    matrix_side = matrix_side_enumerate(field, n, m, mp, ideal)
+    out = {}
+    for theta in sphere_cells(field, m, sharp=True):
+        for dprime in domain_cells(field, mp):
+            key = (theta.x_digits, theta.y_digits, dprime.digits)
+            lat, mat = lattice_side.get(key, []), matrix_side.get(key, [])
+            missing = tuple(sorted(set(mat) - set(lat), key=str))
+            extra = tuple(sorted(set(lat) - set(mat), key=str))
+            equal = not missing and not extra and len(lat) == len(mat)
+            out[theta, dprime] = BijectionResult(len(lat), len(mat), equal, missing, extra)
+    return out
 
 
 def count_membership_flips(matrices: Sequence[Mat2], n: int, theta: SphereCell,
@@ -345,10 +352,6 @@ def count_membership_flips(matrices: Sequence[Mat2], n: int, theta: SphereCell,
                            expect: bool = True) -> int:
     """Perturb each matrix by every kernel pair k1 * g * k2 and count how many
     products land on the other side of the box membership predicate."""
-    flips = 0
-    for g in matrices:
-        for k1 in kernel:
-            for k2 in kernel:
-                if box_contains(k1 * g * k2, n, theta, dprime) != expect:
-                    flips += 1
-    return flips
+    key = (theta.x_digits, theta.y_digits, dprime.digits)
+    return sum((box_cell(k1 * g * k2, n, theta.depth, dprime.depth) == key) != expect
+               for g in matrices for k1 in kernel for k2 in kernel)

@@ -166,19 +166,17 @@ def test_criterion_4_bijection_exact():
         for q in (2, 3):
             field = get_field(q)
             ideals = [Ideal(field.one), Ideal(poly_from_text(field, "Y"))]
-            for n, th, dp, I in itertools.product(
-                    range(0, 4), sphere_cells(field, 1, sharp=True),
-                    domain_cells(field, 2), ideals):
-                res = verify_bijection(field, n, th, dp, ideal=I,
-                                       elementwise=True)
-                assert res.equal, (q, n, th.id_text(), dp.id_text())
+            for n, I in itertools.product(range(0, 4), ideals):
+                table = verify_bijection(field, n, 1, 2, ideal=I)
+                assert len(table) == (q - 1) * q * q
+                for (th, dp), res in table.items():
+                    assert res.equal, (q, n, th.id_text(), dp.id_text())
         field = get_field(2)
-        for th, dp, I in itertools.product(
-                sphere_cells(field, 1, sharp=True), domain_cells(field, 2),
-                [Ideal(field.one), Ideal(poly_from_text(field, "Y"))]):
-            res = verify_bijection(field, 4, th, dp, ideal=I,
-                                   elementwise=False)
-            assert res.lattice_count == res.matrix_count
+        for I in [Ideal(field.one), Ideal(poly_from_text(field, "Y"))]:
+            # elementwise too, since one scan per side serves every box
+            for (th, dp), res in verify_bijection(field, 4, 1, 2, ideal=I).items():
+                assert res.lattice_count == res.matrix_count
+                assert res.equal, (4, th.id_text(), dp.id_text())
 
 
 def test_criterion_5_counting_levels_one_to_seven():
@@ -283,10 +281,11 @@ def test_criterion_8_box_membership_stability():
         assert len(kern) == 8
         seen = 0
         for n in range(0, 4):
+            table = matrix_side_enumerate(field, n, 1, 2)
             for th, dp in itertools.product(
                     sphere_cells(field, 1, sharp=True),
                     domain_cells(field, 2)):
-                mats = matrix_side_enumerate(field, n, th, dp)
+                mats = table.get((th.x_digits, th.y_digits, dp.digits), [])
                 seen += len(mats)
                 assert count_membership_flips(mats, n, th, dp, kern) == 0
         assert seen == 86

@@ -43,6 +43,16 @@ class TestExitCodes:
         code, _, err = run(["count", "--ideal", "0"], capsys)
         assert code == 2 and "configuration error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "11", "--n-max", "1", "--ideal", "Y+10"],
+        ["count", "--q", "37", "--n-max", "1"],
+    ])
+    def test_prime_field_coefficients_read_in_decimal(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and "count: ok" in err
+        ideal = argv[-1] if "--ideal" in argv else "1"
+        assert f" ideal={ideal} " in out
+
     @pytest.mark.parametrize("text", ["Y2", "Y^2+", "Y^", "Z", "2Y"])
     def test_unreadable_ideal(self, capsys, text):
         code, out, err = run(["count", "--ideal", text], capsys)

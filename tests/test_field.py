@@ -384,6 +384,19 @@ class TestTextForms:
         assert pretty_poly(p) == "[10]*Y^2+[11]"
         assert poly_from_text(F, pretty_poly(p)) == p
 
+    @pytest.mark.parametrize("q", [11, 13, 37])
+    def test_prime_field_text_is_decimal(self, q):
+        # pretty_poly prints prime-field coefficients in decimal, so they
+        # must read back in decimal, past base 10 and past int()'s base 36
+        F = Fq(q)
+        for coeffs in ((q - 1,), (q - 1, 1), (1, 10, q - 2), (0, 0, q - 1)):
+            p = F.poly(coeffs)
+            assert poly_from_text(F, pretty_poly(p)) == p
+            assert poly_from_text(F, ",".join(map(str, coeffs))) == p
+        assert poly_from_text(F, "Y+10") == F.poly((10, 1))
+        with pytest.raises(ValueError, match=f"out of range for q={q}"):
+            poly_from_text(F, str(q))
+
     def test_pretty_forms(self):
         F = Fq(3)
         assert pretty_poly(F.poly((1, 2, 1))) == "Y^2+2*Y+1"

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fqlattice import lattice
+from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, is_coprime, poly_from_text, polys_up_to_degree
-from fqlattice.haar import kernel_elements, quotient_mass, sphere_mass
+from fqlattice.haar import Mat2, kernel_elements, quotient_mass, sphere_mass
 from fqlattice.lattice import (
-    DomainCell, SphereCell, box_contains, companion_of,
+    DomainCell, SphereCell, box_cell, companion_of,
     count_membership_flips, domain_cells, gamma_of,
     lattice_is_sharp, matrix_side_enumerate,
     primitive_vectors, small_component, solution_statistic, sphere_cells,
@@ -254,63 +256,127 @@ class TestBox:
         for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
             if not (th.contains_lattice(v, 2) and dp.contains(rat(w_of(v).a, v.a))):
                 continue
-            assert box_contains(gamma_of(v), 2, th, dp)
+            assert box_cell(gamma_of(v), 2, 1, 2) == (th.x_digits, th.y_digits, dp.digits)
             hits += 1
         assert hits > 0
 
     def test_box_rejections(self):
         th, dp = self.theta(F2), self.dprime(F2)
         g = gamma_of(vec(F2, "Y^2", "1"))
-        assert not box_contains(g, 3, th, dp)               # wrong level
-        assert not box_contains(g, 2, SphereCell(F2, (1,), (1,)), dp)
-        # non-sharp first column fails immediately
-        from fqlattice.haar import Mat2
+        assert box_cell(g, 3, 1, 2) is None                 # wrong level
+        assert box_cell(g, 2, 1, 2) != ((1,), (1,), dp.digits)
+        # a first column with |beta| > |alpha| is in no box at either level
         bad = Mat2.from_polys(F2.one, F2.zero, poly_from_text(F2, "Y"), F2.one)
-        assert not box_contains(bad, 1, th, dp)
+        assert box_cell(bad, 0, 1, 2) is None
+        assert box_cell(bad, 1, 1, 2) is None
+        assert box_cell(Mat2.from_polys(F2.zero, F2.one, F2.one, F2.zero), 0, 1, 2) is None
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("m,mp", [(1, 2), (2, 3)])
+    def test_box_cell_matches_cell_predicates(self, q, m, mp):
+        # box_cell(g) == key exactly when |alpha| = q^n and the cells' own
+        # predicates hold: theta.contains_plane on the first column and
+        # dprime.contains on g.b / alpha; the predicates factor over theta
+        # and dprime, so the boxes where all hold are a product of two lists
+        field = get_field(q)
+        thetas = sphere_cells(field, m, sharp=True)
+        dprimes = domain_cells(field, mp)
+
+        def holding(g, n, column_thetas):
+            if g.a.abs_exp() != n:
+                return set()
+            u = g.b / g.a
+            return {(th.x_digits, th.y_digits, dp.digits)
+                    for th in column_thetas for dp in dprimes if dp.contains(u)}
+
+        one, zero = rat(field.one), rat(field.zero)
+        unit_shift = Mat2(one, one, zero, one)   # g.b / alpha leaves the ball
+        for n in range(0, 3):
+            scanned = [g for mats in matrix_side_enumerate(field, n, m, mp).values()
+                       for g in mats]
+            # the scan drops no matrix: one per sharp vector with deg a = n
+            assert len(scanned) == sum(1 for v in primitive_vectors(field, n)
+                                       if v.a.degree == n)
+            for g in scanned:
+                # the probes share g's first column, and so its thetas
+                column_thetas = [th for th in thetas
+                                 if th.contains_plane(PlaneVec(g.a, g.c))]
+                for probe, level in ((g, n), (g, n + 1), (g * unit_shift, n)):
+                    key = box_cell(probe, level, m, mp)
+                    assert holding(probe, level, column_thetas) == ({key} if key else set())
+                assert box_cell(g, n, m, mp) is not None
 
     def test_matrix_side_properties(self):
-        th, dp = self.theta(F2), self.dprime(F2)
         I = Ideal(poly_from_text(F2, "Y"))
-        for g in matrix_side_enumerate(F2, 2, th, dp, I):
-            assert g.det() == rat(F2.one)
-            assert all(e.is_poly() for e in g)
-            assert I.contains(g.c.num)
+        table = matrix_side_enumerate(F2, 2, 1, 2, I)
+        assert table
+        for key, mats in table.items():
+            for g in mats:
+                assert box_cell(g, 2, 1, 2) == key
+                assert g.det() == rat(F2.one)
+                assert all(e.is_poly() for e in g)
+                assert I.contains(g.c.num)
 
     @pytest.mark.parametrize("field,n", [(F2, 1), (F2, 2), (F3, 1)])
     def test_bijection_small(self, field, n):
         unit = Ideal(field.one)
-        for th in sphere_cells(field, 1, sharp=True):
-            for dp in domain_cells(field, 2):
-                res = verify_bijection(field, n, th, dp, unit)
-                assert res.equal, (th.id_text(), dp.id_text(), res)
+        table = verify_bijection(field, n, 1, 2, unit)
+        assert list(table) == [(th, dp) for th in sphere_cells(field, 1, sharp=True)
+                               for dp in domain_cells(field, 2)]
+        for (th, dp), res in table.items():
+            assert res.equal, (th.id_text(), dp.id_text(), res)
 
     def test_bijection_counts_partition_hemisphere(self):
         # summing box counts over all cells recovers the sharp level count
         n, field = 2, F2
         unit = Ideal(field.one)
-        total = 0
-        for th in sphere_cells(field, 1, sharp=True):
-            for dp in domain_cells(field, 2):
-                total += verify_bijection(field, n, th, dp, unit).lattice_count
+        total = sum(res.lattice_count
+                    for res in verify_bijection(field, n, 1, 2, unit).values())
         sharp_count = sum(1 for v in primitive_vectors(field, n)
                           if lattice_is_sharp(v))
         assert total == sharp_count
 
-    def test_bijection_rejects_blunt_cell(self):
-        with pytest.raises(ValueError):
-            verify_bijection(F2, 1, SphereCell(F2, (0,), (1,)), self.dprime(F2))
+    @pytest.mark.parametrize("side", ["matrix", "vector"])
+    def test_one_dropped_matrix_fails_its_box_only(self, monkeypatch, capsys, side):
+        n = 2
+        key, mats = max(matrix_side_enumerate(F3, n, 1, 2).items(),
+                        key=lambda item: len(item[1]))
+        dropped = mats[0]
+        if side == "matrix":
+            scan = lattice.matrix_side_enumerate
 
-    def test_count_only_mode(self):
-        res = verify_bijection(F2, 2, self.theta(F2), self.dprime(F2),
-                               Ideal(F2.one), elementwise=False)
-        assert res.equal and res.missing == () and res.extra == ()
+            def lossy(*args):
+                return {k: [g for g in ms if g != dropped]
+                        for k, ms in scan(*args).items()}
+            monkeypatch.setattr(lattice, "matrix_side_enumerate", lossy)
+        else:
+            vectors, first = lattice.primitive_vectors, (dropped.a.num, dropped.c.num)
+            monkeypatch.setattr(lattice, "primitive_vectors", lambda *args: (
+                v for v in vectors(*args) if v != first))
+        table = verify_bijection(F3, n, 1, 2)
+        unequal = [(th, dp) for (th, dp), res in table.items() if not res.equal]
+        assert [(th.x_digits, th.y_digits, dp.digits) for th, dp in unequal] == [key]
+        res = table[unequal[0]]
+        lost, kept = ((res.extra, res.missing) if side == "matrix"
+                      else (res.missing, res.extra))
+        assert lost == (dropped,) and kept == ()
+        assert abs(res.lattice_count - res.matrix_count) == 1
+        code = main(["bijection", "--q", "3", "--n-min", "0", "--n-max", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "# summary mismatches=1\n" in out
+
+
+def matrices_in_box(field, n, theta, dprime):
+    return matrix_side_enumerate(field, n, theta.depth, dprime.depth).get(
+        (theta.x_digits, theta.y_digits, dprime.digits), [])
 
 
 class TestPerturbation:
     def test_members_stay_members(self):
         th = SphereCell(F2, (1,), (0,))
         dp = DomainCell(F2, 2, (1,))
-        mats = matrix_side_enumerate(F2, 1, th, dp)
+        mats = matrices_in_box(F2, 1, th, dp)
         assert mats
         kern = kernel_elements(F2, 3)  # depth beyond max(m, m') = 2
         assert count_membership_flips(mats, 1, th, dp, kern, expect=True) == 0
@@ -318,7 +384,7 @@ class TestPerturbation:
     def test_non_members_stay_out(self):
         th = SphereCell(F2, (1,), (0,))
         dp = DomainCell(F2, 2, (1,))
-        mats = matrix_side_enumerate(F2, 1, th, dp)
+        mats = matrices_in_box(F2, 1, th, dp)
         kern = kernel_elements(F2, 3)
         # same matrices probed against the wrong level
         assert count_membership_flips(mats, 2, th, dp, kern, expect=False) == 0
@@ -327,6 +393,6 @@ class TestPerturbation:
         # depth equal to the cell depth is not enough; a flip must exist
         th = SphereCell(F2, (1,), (0,))
         dp = DomainCell(F2, 2, (1,))
-        mats = matrix_side_enumerate(F2, 1, th, dp)
+        mats = matrices_in_box(F2, 1, th, dp)
         kern = kernel_elements(F2, 1)
         assert count_membership_flips(mats, 1, th, dp, kern, expect=True) > 0
