@@ -1,7 +1,7 @@
 """Exact arithmetic and verification harness for primitive lattice points
 over the rational function field F_q(Y).
 
-Subpackages are layered: field -> laurent -> cfrac/haar -> lattice -> harness.
+Subpackages are layered: field -> laurent -> haar -> lattice -> cfrac -> harness.
 Everything numeric is an int, a polynomial, a rational function, or a
 fractions.Fraction; floats appear only in display columns and trend fits.
 """

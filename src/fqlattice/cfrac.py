@@ -7,17 +7,21 @@ partial quotients a1..an all have degree >= 1.  Because the step inverts a
 fraction and splits off the polynomial part, the expansion is exactly the
 Euclidean algorithm on (numerator, denominator), and everything here is exact.
 
-The tail of the module solves the Bezout equation a*x + b*y = 1 with
-max(|x|, |y|) minimal, both by the convergent recurrences and by a dumb
-exhaustive scan used as an oracle against them.
+The tail of the module reads the solution of the Bezout equation a*x + b*y = 1
+with max(|x|, |y|) minimal off `lattice.companion_of`, the one solver of that
+equation: the cofactors of the extended gcd are, up to sign and a scalar, the
+penultimate convergents P_{n-1}, Q_{n-1} of a/b, and reducing them into the
+unit ball is what makes them shortest.  A dumb exhaustive scan is kept as an
+oracle against it.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .field import NEG_INF, Poly, is_coprime, polys_up_to_degree
+from .field import NEG_INF, Poly
 from .laurent import LatticeVec, RationalFn
+from .lattice import companion_of
 
 
 def artin_step(f: RationalFn) -> RationalFn:
@@ -143,40 +147,16 @@ def penultimate_ratio(f: RationalFn) -> RationalFn:
 
 
 def shortest_solution(a: Poly, b: Poly) -> LatticeVec:
-    """The solution of a*x + b*y = 1 minimizing max(|x|, |y|).
+    """The solution (x, y) of a*x + b*y = 1 minimizing max(|x|, |y|), read
+    off the companion w of (a, b): det((a, b) | w) = 1 makes (w.b, -w.a) a
+    solution, and the companion's reduction makes it the shortest.
 
     Unique whenever max(deg a, deg b) >= 1.  For a pair of constants every
     scaling-free choice ties at norm one, and the canonical representative
     (1/a, 0) (or (0, 1/b) when a = 0) is returned.
     """
-    field = a.field
-    if not is_coprime(a, b):
-        raise ValueError("pair is not coprime")
-    if a.is_constant() and b.is_constant():
-        if not a.is_zero():
-            return LatticeVec(field.const(field.inv(a.coeffs[0])), field.zero)
-        return LatticeVec(field.zero, field.const(field.inv(b.coeffs[0])))
-    da = a.degree if not a.is_zero() else NEG_INF
-    db = b.degree if not b.is_zero() else NEG_INF
-    if da > db:
-        y, x = shortest_solution(b, a)
-        return LatticeVec(x, y)
-    if da == db:
-        c = field.mul(a.lead, field.inv(b.lead))
-        x, y = shortest_solution(a - b.scale(c), b)
-        return LatticeVec(x, y - x.scale(c))
-    # now |a| < |b| and b is not constant: read the answer off the convergents
-    table = convergents(cf_expand(RationalFn(a, b)))
-    n = table.n
-    lam = field.mul(b.lead, field.inv(table.Q(n).lead))
-    s = field.inv(lam)
-    if n % 2 == 0:
-        x = -table.Q(n - 1).scale(s)
-        y = table.P(n - 1).scale(s)
-    else:
-        x = table.Q(n - 1).scale(s)
-        y = -table.P(n - 1).scale(s)
-    return LatticeVec(x, y)
+    w = companion_of(LatticeVec(a, b))
+    return LatticeVec(w.b, -w.a)
 
 
 def brute_force_shortest(a: Poly, b: Poly) -> LatticeVec:
@@ -186,26 +166,38 @@ def brute_force_shortest(a: Poly, b: Poly) -> LatticeVec:
     solution avoiding this range has norm >= q^B and cannot be minimal, so the
     scan is complete when B >= 1.  Raises if the pair has no solutions or if
     the minimum is not unique.
+
+    Division by a is F_q-linear in y, so the remainder of 1 - b*y mod a is
+    summed from the remainders of -b*Y^k, one digit of y at a time, and x is
+    divided out only where that remainder vanishes.
     """
     field = a.field
     B = max((a.degree if not a.is_zero() else -1),
             (b.degree if not b.is_zero() else -1))
     if B < 1:
         raise ValueError("constant pairs have no unique shortest solution")
-    one = field.one
     solutions: List[Tuple[int, LatticeVec]] = []
-    for y in polys_up_to_degree(field, B - 1):
-        r = one - b * y
-        if a.is_zero():
-            if r.is_zero():
-                solutions.append((y.degree, LatticeVec(field.zero, y)))
-            continue
-        x, rem = divmod(r, a)
-        if rem.is_zero():
+    if not a.is_zero():  # a = 0 leaves b*y = 1, which no y solves once deg b >= 1
+        q, one, add, mul = field.q, field.one, field.add_t, field.mul_t
+
+        def digits(p: Poly) -> Tuple[int, ...]:
+            r = (p % a).coeffs
+            return r + (0,) * (a.degree - len(r))
+
+        # rems[i] belongs to the y whose coefficient k is digit k of i in base q
+        rems = [digits(one)]
+        for k in range(B):
+            step = digits(-b.shift(k))
+            rems += [tuple(add[u][mul[c][v]] for u, v in zip(r, step))
+                     for c in range(1, q) for r in rems]
+        for i, r in enumerate(rems):
+            if any(r):
+                continue
+            y = field.poly([i // q ** k % q for k in range(B)])
+            x = (one - b * y) // a
             dx = x.degree if not x.is_zero() else NEG_INF
             dy = y.degree if not y.is_zero() else NEG_INF
-            norm = max(dx, dy)
-            solutions.append((norm, LatticeVec(x, y)))
+            solutions.append((max(dx, dy), LatticeVec(x, y)))
     if not solutions:
         raise ValueError("no solutions: pair is not coprime")
     best = min(n for n, _ in solutions)

@@ -76,7 +76,7 @@ from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
 from .lattice import (companion_of, count_membership_flips, domain_cells,
                       euclid_tree, matrix_side_enumerate, primitive_vectors,
                       solution_statistic, sphere_cells, verify_bijection)
-from .laurent import lattice_direction_digits, rat
+from .laurent import RationalFn, lattice_direction_digits, rat
 
 SCHEMA_VERSION = 1
 
@@ -379,12 +379,6 @@ def _residue_arithmetic(field: Fq, gen: Optional[Poly], uniform: bool):
     return residues, code, lead, affine, canonical
 
 
-def _head_digits(inv: Poly, s: Poly, mp: int) -> Tuple[int, ...]:
-    """Digits 1..mp-1 of inv/s: the coefficients of (inv * Y^(mp-1)) // s."""
-    head = inv.shift(mp - 1) // s
-    return tuple(head.coeff(k) for k in range(mp - 2, -1, -1))
-
-
 def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                 kind: str, m: int, mp: int) -> Dict[int, Counter]:
     """Per-level tallies of the Euclid-tree nodes, node by node: the oracle
@@ -395,6 +389,7 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     need r in the ideal, the digits of r^-1/s and lead(Q_k)."""
     every_mu = tuple(range(field.q))
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
+    # inv / s is reduced already: inv is a unit modulo the monic s
     for r, s, inv, lead in euclid_tree(field, n_max):
         n = s.degree
         if n < n_lo:
@@ -402,13 +397,13 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
         if kind == "cfe":
             if gen is not None and not (r % gen).is_zero():
                 continue
-            key = (_head_digits(inv, s, mp), lead)
+            key = (RationalFn(inv, s, _reduced=True).expand(1, mp), lead)
         else:
             key = (every_mu, True) if gen is None else _ideal_orbit(r, s, gen)
             if kind == "joint":
                 key = (tuple(s.coeff(n - i) for i in range(m)),
                        tuple(r.coeff(n - i) for i in range(m)),
-                       _head_digits(inv, s, mp)) + key
+                       RationalFn(inv, s, _reduced=True).expand(1, mp)) + key
         tallies[n][key] += 1
     return tallies
 

@@ -4,7 +4,10 @@ enumeration of measurement boxes.
 A primitive vector v = (a, b) with |a| >= |b| has a unique companion w with
 det(v | w) = 1 and first companion coordinate in the open unit ball after
 division by a; gluing them column-wise gives a determinant-one matrix with
-polynomial entries.  The same matrices come purely from the matrix side,
+polynomial entries.  `companion_of` is the package's one solver of the gcd
+equation a*x + b*y = 1: it reduces the extended-gcd cofactors, which are the
+penultimate convergents of a/b, and `cfrac.shortest_solution` reads its
+answer off the companion.  The same matrices come purely from the matrix side,
 where `box_cell` reads the box of a matrix off its triangular factors.
 `verify_bijection` scans a level once per side, the vector side binned by
 coefficient digits and the matrix side by `box_cell`, and compares every
@@ -89,9 +92,9 @@ class SphereCell(_SphereCellFields):
         return lattice_direction_digits(v, n, self.depth) == (self.x_digits, self.y_digits)
 
     def contains_plane(self, v: PlaneVec) -> bool:
-        scale = pi_pow(self.field, vec_norm_exp(v))
-        return (in_cell(v.x * scale, 0, self.x_digits)
-                and in_cell(v.y * scale, 0, self.y_digits))
+        # the digits of v / Y^k at indices 0.. are those of v at -k..
+        k = vec_norm_exp(v)
+        return in_cell(v.x, -k, self.x_digits) and in_cell(v.y, -k, self.y_digits)
 
     def id_text(self) -> str:
         return (".".join(map(str, self.x_digits)) + "|"
@@ -208,42 +211,34 @@ def euclid_tree(field: Fq, n_max: int) -> Iterator[Tuple[Poly, Poly, Poly, int]]
 # ---------------------------------------------------------------------------
 
 
-def w_of(v: LatticeVec) -> LatticeVec:
-    """The unique w with det(v | w) = 1 and x_w/a in the open unit ball.
+def companion_of(v: LatticeVec) -> LatticeVec:
+    """The companion w of a primitive vector v = (a, b): det(v | w) = 1, and
+    (w.b, -w.a) is the shortest solution of a*x + b*y = 1.
 
-    Needs v primitive and sharp (so a != 0).  Any Bezout solution gives the
-    same w: solutions differ by multiples of v, and reducing x_w modulo a
-    pins the representative.
+    A sharp v gets the unique w with x_w/a in the open unit ball.  Any
+    Bezout solution gives the same w: solutions differ by multiples of v,
+    and reducing x_w modulo a pins the representative.  The cofactors of the
+    extended gcd are, up to sign and a scalar, the penultimate convergents
+    Q_{n-1}, P_{n-1} of a/b; reduced this way they are the shortest solution.
+    A blunt v goes through the coordinate swap, which maps the sharp
+    companion back with a sign.
     """
-    a, b = v
-    if a.is_zero():
-        raise ValueError("companion needs a sharp vector with a != 0")
+    blunt = not lattice_is_sharp(v)
+    a, b = (v.b, v.a) if blunt else v
     g, x0, y0 = poly_xgcd(a, b)
     if not g.is_one():
         raise ValueError("vector is not primitive")
     # w0 = (-y0, x0) solves det(v | w0) = a*x0 + b*y0 = 1; translate by
     # multiples of v until the top entry is the remainder mod a
     q, r = divmod(-y0, a)
-    return LatticeVec(r, x0 - q * b)
+    w = LatticeVec(r, x0 - q * b)
+    return LatticeVec(-w.b, -w.a) if blunt else w
 
 
 def gamma_of(v: LatticeVec) -> Mat2:
-    """Column matrix (v | w_of(v)); determinant one by construction."""
-    w = w_of(v)
+    """Column matrix (v | companion_of(v)); determinant one by construction."""
+    w = companion_of(v)
     return Mat2.from_polys(v.a, w.a, v.b, w.b)
-
-
-def companion_of(v: LatticeVec) -> LatticeVec:
-    """A determinant-one companion for any primitive vector.
-
-    Sharp vectors get the canonical w_of; the rest go through the coordinate
-    swap, which maps the sharp companion back with a sign.  The induced ratio
-    statistic does not depend on this choice modulo polynomials.
-    """
-    if lattice_is_sharp(v):
-        return w_of(v)
-    swapped = w_of(LatticeVec(v.b, v.a))
-    return LatticeVec(-swapped.b, -swapped.a)
 
 
 def solution_statistic(v: LatticeVec) -> Tuple[RationalFn, bool]:

@@ -208,7 +208,8 @@ class TestShortestSolution:
         with pytest.raises(ValueError):
             brute_force_shortest(F2.one, F2.one)
 
-    @pytest.mark.parametrize("field,maxdeg", [(F2, 3), (F3, 2)])
+    @pytest.mark.parametrize("field,maxdeg", [(F2, 3), (F3, 2), (Fq(4), 2), (Fq(5), 2),
+                                              (Fq(7), 1), (Fq(8), 1), (Fq(9), 1)])
     def test_matches_brute_force(self, field, maxdeg):
         polys = list(polys_up_to_degree(field, maxdeg))
         for a in polys:

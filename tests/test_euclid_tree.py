@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _head_digits, _orbit_size,
+from fqlattice.harness import (RunConfig, _bin_ratios, _orbit_size,
                                _residue_arithmetic, _transfer_tallies, _tree_block,
                                run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
@@ -194,7 +194,7 @@ def test_cfe_bins_each_node_by_its_penultimate_ratio(q):
     mp = 3
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     for r, s, inv, lead in euclid_tree(field, 2 if q <= 5 else 1):
-        got = _bin_ratios(field, Counter({(_head_digits(inv, s, mp), lead): 1}), dp_ids)
+        got = _bin_ratios(field, Counter({(rat(inv, s).expand(1, mp), lead): 1}), dp_ids)
         want = dp_ids[penultimate_ratio(rat(r, s)).expand(1, mp)]
         assert got == {(want,): q - 1}, (str(r), str(s))
 

@@ -13,7 +13,7 @@ from fqlattice.lattice import (
     count_membership_flips, domain_cells, gamma_of,
     lattice_is_sharp, matrix_side_enumerate,
     primitive_vectors, small_component, solution_statistic, sphere_cells,
-    verify_bijection, w_of,
+    verify_bijection,
 )
 from fqlattice.laurent import LatticeVec, PlaneVec, as_plane, rat, vec_norm_exp
 
@@ -159,11 +159,11 @@ class TestPrimitiveEnumeration:
 
 class TestCompanion:
     def test_hand_values(self):
-        w = w_of(vec(F2, "1", "0"))
+        w = companion_of(vec(F2, "1", "0"))
         assert (str(w.a), str(w.b)) == ("0", "1")
-        w = w_of(vec(F2, "Y", "Y+1"))
+        w = companion_of(vec(F2, "Y", "Y+1"))
         assert (str(w.a), str(w.b)) == ("1", "1")
-        w = w_of(vec(F2, "Y", "1"))
+        w = companion_of(vec(F2, "Y", "1"))
         assert (str(w.a), str(w.b)) == ("1", "0")
 
     def test_determinant_and_ball_condition(self):
@@ -177,10 +177,10 @@ class TestCompanion:
 
     def test_seed_independence(self):
         # every translate w + lam * v also has det(v | w) = 1, but only
-        # lam = 0 keeps x_w / a in the open unit ball, so w_of does not
+        # lam = 0 keeps x_w / a in the open unit ball, so companion_of does not
         # depend on which Bezout solution the extended gcd returns
         for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
-            w = w_of(v)
+            w = companion_of(v)
             for lam in polys_up_to_degree(F2, 1):
                 t = LatticeVec(w.a + lam * v.a, w.b + lam * v.b)
                 assert (v.a * t.b - t.a * v.b).is_one()
@@ -189,9 +189,9 @@ class TestCompanion:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            w_of(vec(F2, "0", "1"))
+            companion_of(vec(F2, "Y", "Y"))
         with pytest.raises(ValueError):
-            w_of(vec(F2, "Y", "Y"))
+            companion_of(vec(F2, "0", "0"))
 
     def test_companion_of_any_primitive(self):
         for field in (F2, F3):
@@ -254,7 +254,7 @@ class TestBox:
         th, dp = self.theta(F2), self.dprime(F2)
         hits = 0
         for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
-            if not (th.contains_lattice(v, 2) and dp.contains(rat(w_of(v).a, v.a))):
+            if not (th.contains_lattice(v, 2) and dp.contains(rat(companion_of(v).a, v.a))):
                 continue
             assert box_cell(gamma_of(v), 2, 1, 2) == (th.x_digits, th.y_digits, dp.digits)
             hits += 1

@@ -1,11 +1,11 @@
 """Algebraic laws as property tests: the field tables, the polynomial ring
-and its division, the extended gcd, continued-fraction round trips and companion determinants,
-over every field size the oracle grids use."""
+and its division, the extended gcd, continued-fraction round trips, companion determinants and
+shortest Bezout solutions, over every field size the oracle grids use."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fqlattice.cfrac import cf_expand, cf_value
+from fqlattice.cfrac import cf_expand, cf_value, shortest_solution
 from fqlattice.field import get_field, is_coprime, poly_xgcd
 from fqlattice.lattice import companion_of
 from fqlattice.laurent import LatticeVec, rat
@@ -113,3 +113,14 @@ def test_companion_determinant_one(case):
     v = LatticeVec(a, b)
     w = companion_of(v)
     assert v.a * w.b - w.a * v.b == field.one
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_shortest_solution_solves_and_is_short(case):
+    field, a, b = case
+    assume(is_coprime(a, b) and not (a.is_constant() and b.is_constant()))
+    x, y = shortest_solution(a, b)
+    assert a * x + b * y == field.one
+    assert max(x.degree, y.degree) < max(a.degree, b.degree)
+    assert shortest_solution(b, a) == (y, x)

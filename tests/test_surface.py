@@ -39,8 +39,9 @@ TEST_ONLY = {
     "harness._tree_block": "the node-by-node oracle of the transfer DP",
     "lattice.SphereCell.measure": "the sphere cells must add up to sphere_mass",
     "lattice.DomainCell.measure": "the domain cells must add up to quotient_mass",
-    "lattice.SphereCell.contains_plane": ("membership by expansion digits, against cell digits "
-                                          "and against box_cell"),
+    "lattice.SphereCell.contains_plane": ("membership by the expansion digits of v itself, "
+                                          "shifted by its norm exponent instead of rescaled, "
+                                          "against cell digits and against box_cell"),
     "lattice.SphereCell.contains_lattice": ("membership by polynomial coefficients, against "
                                             "contains_plane and the box of gamma_of"),
     "laurent.direction": "the rescaled direction digits, against the cell digits",
