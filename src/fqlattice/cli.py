@@ -4,12 +4,15 @@ Exit codes: 0 when the run completes and every hard assertion holds, 1 when a
 verification row, bijection case, or joint trend check fails, 2 for
 configuration errors (including the work and row guards and an `--out` that
 names no file or whose directory does not exist) and for a report that cannot
-be written.
+be written.  The format, the output path and the wall time are the front
+end's, not the run's: it checks `--out` first and times the runner itself.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -121,6 +124,19 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
     return _parse_plain(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an `--out` naming no file, a directory, or a file in a missing one."""
+    if out is None:
+        return
+    path = Path(out)
+    if not path.name:
+        raise ConfigError(f"output path {echo_text(out)} names no file")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {echo_text(out)} is a directory")
+    if not os.path.isdir(path.parent):
+        raise ConfigError(f"output directory {echo_text(str(path.parent))} does not exist")
+
+
 def config_from_args(args: SimpleNamespace) -> RunConfig:
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -133,7 +149,6 @@ def config_from_args(args: SimpleNamespace) -> RunConfig:
         n_max=lo + 2 if args.n_max is None else args.n_max,
         depth_m=args.depth_m, depth_mp=args.depth_mp,
         ideal=args.ideal, experiment=args.experiment,
-        fmt=args.fmt, out=args.out,
         dump=args.dump, guard=args.guard, cell_floor=args.cell_floor)
 
 
@@ -147,40 +162,45 @@ def _assertion_failures(report: Report) -> int:
     return 0
 
 
-def _write_output(report: Report) -> None:
-    cfg = report.config
-    text = render_report(report)
-    points = (to_points_csv(report)
-              if report.points is not None and cfg.fmt == "csv" else None)
-    if cfg.out is None:
-        sys.stdout.write(text if points is None else text + "# points\n" + points)
+def _write_output(report: Report, fmt: str, out: Optional[str]) -> None:
+    """The report to stdout or `out`; CSV points after it or in their own file."""
+    points = to_points_csv(report) if report.points is not None and fmt == "csv" else None
+    if out is None:
+        render_report(report, fmt, sys.stdout)
+        if points is not None:
+            sys.stdout.write("# points\n" + points)
         return
-    out = Path(cfg.out)
-    for path, body in ((out, text), (out.with_name(out.stem + ".points.csv"), points)):
-        if body is not None:
-            path.write_text(body)
-            print(f"wrote {path}", file=sys.stderr)
+    path = Path(out)
+    with path.open("w") as stream:
+        render_report(report, fmt, stream)
+    print(f"wrote {path}", file=sys.stderr)
+    if points is not None:
+        path = path.with_name(path.stem + ".points.csv")
+        path.write_text(points)
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
     try:
+        _check_out(args.out)
         cfg = config_from_args(args)
-        runner = RUNNERS[cfg.experiment]
-        report = runner(cfg)
+        t0 = time.perf_counter()
+        report = RUNNERS[cfg.experiment](cfg)
+        wall = time.perf_counter() - t0
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     try:
-        _write_output(report)
+        _write_output(report, args.fmt, args.out)
     except OSError as e:
         print(f"cannot write report: {e}", file=sys.stderr)
         return 2
     failures = _assertion_failures(report)
     status = "ok" if failures == 0 else f"{failures} failure(s)"
-    print(f"{report.kind}: {status}, {report.wall_time_s:.2f}s", file=sys.stderr)
+    print(f"{report.kind}: {status}, {wall:.2f}s", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 

@@ -46,8 +46,9 @@ the DP's oracle in the tests.  Level 0 keeps the vector-by-vector path.
 The level loops repeat no run-wide work: main terms are per-run constants
 times q^(2n), a joint key's orbit cells are found once per run, and cell
 statistics are integers over one denominator per level until printed.
-Everything runs in one process.  Serialized reports echo only the
-configuration that shapes the result (output path and wall time stay out).
+Everything runs in one process.  A run computes its report and nothing else:
+the output format, path and wall time belong to the command line, so reports
+echo every RunConfig field and no run reads a clock or a file.
 """
 
 from __future__ import annotations
@@ -55,13 +56,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
@@ -107,8 +105,6 @@ class RunConfig(NamedTuple):
     depth_mp: int = 2
     ideal: str = "1"
     experiment: str = "count"
-    fmt: str = "csv"
-    out: Optional[str] = None
     dump: bool = False
     guard: int = 10 ** 8
     cell_floor: int = 8
@@ -159,16 +155,6 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
         raise ConfigError(f"empty or negative level range [{cfg.n_min}, {cfg.n_max}]")
     if cfg.depth_m < 1 or cfg.depth_mp < 1:
         raise ConfigError("cylinder depths must be >= 1")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {cfg.fmt!r}")
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        if not out.name:
-            raise ConfigError(f"output path {echo_text(cfg.out)} names no file")
-        if os.path.isdir(out):
-            raise ConfigError(f"output path {echo_text(cfg.out)} is a directory")
-        if not os.path.isdir(out.parent):
-            raise ConfigError(f"output directory {echo_text(str(out.parent))} does not exist")
     if cfg.q < 2:
         raise ConfigError("q must be a prime power >= 2")
     if cfg.guard < 1:
@@ -202,11 +188,11 @@ class Report:
     def __init__(self, kind: str, config: RunConfig, columns: Tuple[str, ...],
                  rows: List[tuple], summary: Dict[str, object],
                  warnings: Optional[List[str]] = None,
-                 points: Optional[List[tuple]] = None, wall_time_s: float = 0.0):
+                 points: Optional[List[tuple]] = None):
         self.kind, self.config, self.columns = kind, config, columns
         self.rows, self.summary = rows, summary
         self.warnings = [] if warnings is None else warnings
-        self.points, self.wall_time_s = points, wall_time_s
+        self.points = points
 
 
 def build_id() -> str:
@@ -220,29 +206,25 @@ def build_id() -> str:
 
 
 def _config_echo(cfg: RunConfig) -> Dict[str, object]:
-    # the RunConfig fields in order; the output format and location do not
-    # influence any reported value
     echo = cfg._asdict()
-    del echo["fmt"], echo["out"]
     echo["modulus"] = list(cfg.modulus) if cfg.modulus else None
     return echo
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        try:
-            approx = float(v)
-        except OverflowError:  # beyond the float range
-            approx = None
-        return {"num": v.numerator, "den": v.denominator, "approx": approx}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+def _fraction_json(v):
+    """json.dump's `default`: a Fraction as {num, den, approx}."""
+    if not isinstance(v, Fraction):
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
+    try:
+        approx = float(v)
+    except OverflowError:  # beyond the float range
+        approx = None
+    return {"num": v.numerator, "den": v.denominator, "approx": approx}
 
 
-def to_json(report: Report) -> str:
+def to_json(report: Report, stream: TextIO) -> None:
+    """json.dump of the report into `stream`, chunk by chunk: rows and points
+    as dicts of their column names, Fractions through _fraction_json."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "build": build_id(),
@@ -250,13 +232,14 @@ def to_json(report: Report) -> str:
         "config": _config_echo(report.config),
         "warnings": list(report.warnings),
         "columns": list(report.columns),
-        "rows": [_jsonable(dict(zip(report.columns, r))) for r in report.rows],
-        "summary": _jsonable(report.summary),
+        "rows": [dict(zip(report.columns, r)) for r in report.rows],
+        "summary": report.summary,
     }
     if report.points is not None:
         payload["point_columns"] = list(POINT_COLUMNS)
-        payload["points"] = [_jsonable(dict(zip(POINT_COLUMNS, r))) for r in report.points]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload["points"] = [dict(zip(POINT_COLUMNS, r)) for r in report.points]
+    json.dump(payload, stream, sort_keys=True, indent=2, default=_fraction_json)
+    stream.write("\n")
 
 
 def _csv_cell(v) -> str:
@@ -310,8 +293,14 @@ def to_points_csv(report: Report) -> str:
                       for r in (POINT_COLUMNS, *report.points)]) + "\n"
 
 
-def render_report(report: Report) -> str:
-    return to_json(report) if report.config.fmt == "json" else to_csv(report)
+def render_report(report: Report, fmt: str, stream: TextIO) -> None:
+    """Write the report to `stream` as `fmt`, "csv" or "json"."""
+    if fmt == "json":
+        to_json(report, stream)
+    elif fmt == "csv":
+        stream.write(to_csv(report))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +699,7 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
     for n in dumpable:
         for v in primitive_vectors(field, n, ideal):
             w = companion_of(v)
-            stat, _ = solution_statistic(v)
+            stat, _ = solution_statistic(v, w)
             rows.append((str(v.a), str(v.b), str(w.a), str(w.b), n,
                          theta_ids[lattice_direction_digits(v, n, m)],
                          dp_ids[stat.expand(1, mp)]))
@@ -718,7 +707,6 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
 
 
 def run_count(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     field, I = validate_config(cfg)
     warnings: List[str] = []
     rows = []
@@ -746,12 +734,10 @@ def run_count(cfg: RunConfig) -> Report:
     points = None
     if cfg.dump:
         points = _dump_points(field, I, levels, cfg.depth_m, cfg.depth_mp, warnings)
-    return Report("count", cfg, COLUMNS["count"], rows, summary, warnings,
-                  points, time.perf_counter() - t0)
+    return Report("count", cfg, COLUMNS["count"], rows, summary, warnings, points)
 
 
 def run_joint(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     field, I = validate_config(cfg)
     q, m, mp = cfg.q, cfg.depth_m, cfg.depth_mp
     warnings: List[str] = []
@@ -787,12 +773,10 @@ def run_joint(cfg: RunConfig) -> Report:
     points = None
     if cfg.dump:
         points = _dump_points(field, I, levels, m, mp, warnings)
-    return Report("joint", cfg, COLUMNS["joint"], rows, summary, warnings,
-                  points, time.perf_counter() - t0)
+    return Report("joint", cfg, COLUMNS["joint"], rows, summary, warnings, points)
 
 
 def run_cfe(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     field, I = validate_config(cfg)
     q, mp = cfg.q, cfg.depth_mp
     pref = cfe_prefactor(I)
@@ -811,8 +795,7 @@ def run_cfe(cfg: RunConfig) -> Report:
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean
-    return Report("cfe", cfg, COLUMNS["cfe"], rows, summary, warnings,
-                  None, time.perf_counter() - t0)
+    return Report("cfe", cfg, COLUMNS["cfe"], rows, summary, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +824,6 @@ def _elementary_sample(field: Fq, count: int) -> List[Mat2]:
 
 
 def run_verify(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     field, I = validate_config(cfg)
     rows = []
 
@@ -926,12 +908,10 @@ def run_verify(cfg: RunConfig) -> Report:
 
     failed = sum(1 for r in rows if not r[-1])
     summary = {"passed": len(rows) - failed, "failed": failed}
-    return Report("verify", cfg, COLUMNS["verify"], rows, summary, [],
-                  None, time.perf_counter() - t0)
+    return Report("verify", cfg, COLUMNS["verify"], rows, summary, [])
 
 
 def run_bijection(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     field, I = validate_config(cfg)
     rows = []
     mismatches = 0
@@ -942,8 +922,7 @@ def run_bijection(cfg: RunConfig) -> Report:
             rows.append((n, th.id_text(), dp.id_text(), str(I),
                          res.lattice_count, res.matrix_count, res.equal))
     summary = {"cases": len(rows), "mismatches": mismatches}
-    return Report("bijection", cfg, COLUMNS["bijection"], rows, summary, [],
-                  None, time.perf_counter() - t0)
+    return Report("bijection", cfg, COLUMNS["bijection"], rows, summary, [])
 
 
 RUNNERS: Dict[str, Callable[[RunConfig], Report]] = {

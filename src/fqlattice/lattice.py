@@ -241,14 +241,15 @@ def gamma_of(v: LatticeVec) -> Mat2:
     return Mat2.from_polys(v.a, w.a, v.b, w.b)
 
 
-def solution_statistic(v: LatticeVec) -> Tuple[RationalFn, bool]:
-    """Reduced ratio z_w / z_v of the companion against the vector.
+def solution_statistic(v: LatticeVec, w: Optional[LatticeVec] = None
+                       ) -> Tuple[RationalFn, bool]:
+    """Reduced ratio z_w / z_v of the companion w (passed, or companion_of(v)).
 
     Returns (statistic in the open unit ball, exception flag).  The flag
     marks sharp vectors whose z-ratio differs from the x-ratio before
     reduction; this is confined to the constant levels.
     """
-    w = companion_of(v)
+    w = companion_of(v) if w is None else w
     zv = z_of(as_plane(v))
     zw = z_of(as_plane(w))
     raw = zw / zv

@@ -169,9 +169,9 @@ class TestExitCodes:
 
     def test_out_unwritable(self, tmp_path, capsys, monkeypatch):
         # a write that fails after the run, as on a read-only or full disk
-        def refuse(path, body):
+        def refuse(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
-        monkeypatch.setattr(Path, "write_text", refuse)
+        monkeypatch.setattr(Path, "open", refuse)
         target = tmp_path / "x.csv"
         code, out, err = run(["count", "--n-max", "1", "--out", str(target)], capsys)
         assert code == 2 and out == ""
@@ -315,12 +315,13 @@ class TestParser:
 
     @pytest.mark.parametrize("name", ["count", "joint", "cfe", "verify", "bijection"])
     def test_defaults(self, name):
-        cfg = config_from_args(parse_args([name]))
+        args = parse_args([name])
+        cfg = config_from_args(args)
         levels = (0, 2) if name == "bijection" else (1, 3)
         assert (cfg.experiment, cfg.n_min, cfg.n_max) == (name,) + levels
         assert (cfg.q, cfg.modulus, cfg.depth_m, cfg.depth_mp, cfg.ideal) == (
             2, None, 1, 2, "1")
-        assert (cfg.fmt, cfg.out, cfg.dump, cfg.guard, cfg.cell_floor) == (
+        assert (args.fmt, args.out, cfg.dump, cfg.guard, cfg.cell_floor) == (
             "csv", None, False, 10 ** 8, 8)
 
     @settings(max_examples=400, deadline=None)
@@ -409,11 +410,13 @@ class TestOutputs:
         assert json.loads(out)["config"]["modulus"] is None
 
     def test_config_echo_keys_are_the_run_config_fields(self, capsys):
-        # every field in RunConfig order, less the output format and path
+        # every field in RunConfig order; the output format and path are the
+        # command line's, not the run's
         _, out, _ = run(["cfe", "--n-max", "1"], capsys)
         echo = next(l for l in out.splitlines() if l.startswith("# config "))
         keys = [item.split("=", 1)[0] for item in echo[len("# config "):].split(" ")]
-        assert keys == [f for f in RunConfig._fields if f not in ("fmt", "out")]
+        assert keys == list(RunConfig._fields)
+        assert "fmt" not in keys and "out" not in keys
 
     def test_json_rational_beyond_the_float_range(self, capsys):
         # 3/2 4^515 points are expected at level 515, above the largest float

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import (BoxSpec, cfe_prefactor, counting_main_term,
                            expected_box_count, hecke_index)
 from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _cell_table,
-                               _csv_table, _fit_exponent, _trend_status,
+                               _csv_table, _fit_exponent, _fraction_json, _trend_status,
                                _work_exponent, build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
@@ -46,6 +47,13 @@ def _argv(cfg, *extra):
     for k, v in kw.items():
         argv += [f"--{k.replace('_', '-')}", str(v)]
     return argv + list(extra)
+
+
+def _rendered(rep, fmt):
+    """The text render_report streams for `fmt`."""
+    stream = io.StringIO()
+    render_report(rep, fmt, stream)
+    return stream.getvalue()
 
 
 def _named(rep):
@@ -96,7 +104,7 @@ class TestConfig:
         {"depth_m": 0},
         {"depth_mp": 0},
         {"ideal": "Y^99999999"},
-        {"fmt": "xml"},
+        {"guard": 0},
         {"ideal": "0"},
         {"ideal": "Z^2"},
         {"q": 6},
@@ -350,7 +358,7 @@ class TestDeterminism:
     def test_worker_count_invisible_in_bytes(self, runner, cfg, capsys):
         # the command line accepts --workers, and no report byte depends on it
         for fmt in ("csv", "json"):
-            want = render_report(runner(RunConfig(fmt=fmt, **cfg)))
+            want = _rendered(runner(RunConfig(**cfg)), fmt)
             for workers in ("1", "3"):
                 assert main(_argv(cfg, "--format", fmt, "--workers", workers)) == 0
                 assert capsys.readouterr().out == want
@@ -389,8 +397,8 @@ class TestWorkerCap:
 
 class TestSerialization:
     def test_json_shape(self):
-        rep = run_count(RunConfig(q=2, n_min=0, n_max=1, fmt="json"))
-        doc = json.loads(to_json(rep))
+        rep = run_count(RunConfig(q=2, n_min=0, n_max=1))
+        doc = json.loads(_rendered(rep, "json"))
         assert doc["schema_version"] == 1
         assert doc["kind"] == "count"
         assert doc["build"] == build_id()
@@ -426,6 +434,36 @@ class TestSerialization:
         rep = run_count(RunConfig(q=2, n_min=1, n_max=1))
         with pytest.raises(ValueError):
             to_points_csv(rep)
+
+    def test_json_streams_in_small_writes(self):
+        # a wide report goes out chunk by chunk, never as one document string
+        class Recorder(io.StringIO):
+            def write(self, s):
+                sizes.append(len(s))
+                return super().write(s)
+
+        sizes = []
+        rep = run_joint(RunConfig(q=2, n_min=1, n_max=4, depth_m=4, depth_mp=5,
+                                  experiment="joint"))
+        assert len(rep.rows) >= 10_000
+        stream = Recorder()
+        to_json(rep, stream)
+        assert len(sizes) > len(rep.rows) and max(sizes) <= 2 ** 20
+        assert len(json.loads(stream.getvalue())["rows"]) == len(rep.rows)
+
+    @pytest.mark.parametrize("value", [
+        1, 1.5, "1/2", None, True, (Fraction(1, 2),), [Fraction(1, 2)],
+        {"x": Fraction(1, 2)}, Decimal("0.5"), 1j, object()])
+    def test_fraction_json_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            _fraction_json(value)
+
+    def test_render_refuses_unknown_format(self):
+        rep = run_count(RunConfig(q=2, n_min=1, n_max=1))
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            render_report(rep, "xml", stream)
+        assert stream.getvalue() == ""
 
     @pytest.mark.parametrize("runner,cfg", [
         (run_count, dict(q=3, n_min=0, n_max=2, ideal="Y+1", dump=True)),
@@ -538,7 +576,8 @@ class TestGoldenReports:
     ]])
     def test_masked_digest(self, write, runner, cfg, digest):
         kind = runner.__name__[len("run_"):]
-        text = write(runner(RunConfig(experiment=kind, **cfg)))
+        rep = runner(RunConfig(experiment=kind, **cfg))
+        text = _rendered(rep, "json") if write is to_json else write(rep)
         masked = re.sub(r'^(# build=|  "build": ).*$', r"\1*", text, flags=re.MULTILINE)
         assert hashlib.sha256(masked.encode()).hexdigest() == digest
 

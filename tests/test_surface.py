@@ -19,6 +19,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import fqlattice
 from fqlattice import cfrac, field, lattice, laurent
 
@@ -143,6 +145,34 @@ def test_no_dataclasses_import():
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "imports dataclasses:\n" + "\n".join(found)
+
+
+def test_harness_reads_no_clock_and_no_file():
+    # a run computes its report; timing it and writing it are the CLI's work
+    found = []
+    for node in ast.walk(_parse(PACKAGE / "harness.py")):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{n} at line {node.lineno}" for n in names
+                  if n.split(".")[0] in ("os", "pathlib", "time")]
+    assert not found, "harness imports:\n" + "\n".join(found)
+
+
+def test_one_version_string():
+    # pyproject.toml reads the version from fqlattice.__version__, which
+    # every report's build line stamps; it holds no literal of its own
+    tomllib = pytest.importorskip("tomllib")
+    text = (ROOT / "pyproject.toml").read_text()
+    project = tomllib.loads(text)
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "fqlattice.__version__"}
+    assert fqlattice.__version__ not in text
 
 
 def _traced():

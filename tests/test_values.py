@@ -2,6 +2,7 @@
 the report bytes built from them."""
 
 import hashlib
+import io
 import re
 from fractions import Fraction
 
@@ -69,8 +70,8 @@ class TestValidation:
         cell = SphereCell(field=F2, x_digits=(1,), y_digits=(1,))
         assert cell == SphereCell(F2, (1,), (1,)) and cell.depth == 1
         assert DomainCell(field=F2, depth=1, digits=()).id_text() == "-"
-        assert RunConfig() == RunConfig(2, None, 1, 3, 1, 2, "1", "count", "csv",
-                                        None, False, 10 ** 8, 8)
+        assert RunConfig() == RunConfig(2, None, 1, 3, 1, 2, "1", "count",
+                                        False, 10 ** 8, 8)
 
 
 class TestContract:
@@ -100,8 +101,8 @@ class TestContract:
         a = Report("count", RunConfig(), ("n",), [], {})
         b = Report("count", RunConfig(), ("n",), [], {})
         a.warnings.append("w")
-        a.wall_time_s = 1.5
-        assert b.warnings == [] and (a.points, b.wall_time_s) == (None, 0.0)
+        a.points = []
+        assert b.warnings == [] and (a.points, b.points) == ([], None)
 
 
 @pytest.mark.parametrize("runner,cfg,digest", [
@@ -117,6 +118,8 @@ class TestContract:
 def test_json_report_digest(runner, cfg, digest):
     # SHA-256 with the build line masked, recorded while the value classes
     # were frozen dataclasses
-    text = to_json(runner(RunConfig(**cfg)))
+    stream = io.StringIO()
+    to_json(runner(RunConfig(**cfg)), stream)
+    text = stream.getvalue()
     masked = re.sub(r'^  "build": .*$', '  "build": "*",', text, flags=re.MULTILINE)
     assert hashlib.sha256(masked.encode()).hexdigest() == digest
