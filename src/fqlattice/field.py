@@ -588,8 +588,9 @@ def echo_text(s: str) -> str:
 
 
 def _text_terms(field: Fq, s: str) -> Dict[int, int]:
-    """Exponent -> coefficient of the comma form ("1,0,1") or the pretty
-    form ("Y^2+2*Y+1"), like terms summed.
+    """Exponent -> nonzero coefficient of the comma form ("1,0,1") or the
+    pretty form ("Y^2+2*Y+1"), like terms summed: the highest key is the
+    degree, and "0*Y^99999999+1" reads as the constant 1.
 
     Anything else is rejected with the position it stopped at: text such as
     "Y2" or "Y^2+" is never read as something it does not say.
@@ -598,7 +599,8 @@ def _text_terms(field: Fq, s: str) -> Dict[int, int]:
     if not s:
         raise ValueError("empty polynomial text")
     if "," in s:
-        return {k: field.element_from_text(t.strip()) for k, t in enumerate(s.split(","))}
+        coeffs = {k: field.element_from_text(t.strip()) for k, t in enumerate(s.split(","))}
+        return {k: c for k, c in coeffs.items() if c}
     coeffs: Dict[int, int] = {}
     pos = 0
     while pos < len(s):
@@ -617,16 +619,14 @@ def _text_terms(field: Fq, s: str) -> Dict[int, int]:
             c = field.neg_t[c]
         coeffs[k] = field.add(coeffs.get(k, 0), c)
         pos = term.end()
-    return coeffs
+    return {k: c for k, c in coeffs.items() if c}
 
 
-def text_degree(field: Fq, s: str):
-    """Degree of poly_from_text(field, s), read without building it: a
-    text such as "Y^99999999" costs nothing."""
-    return max((k for k, c in _text_terms(field, s).items() if c), default=NEG_INF)
+def poly_from_terms(field: Fq, terms: Dict[int, int]) -> Poly:
+    """The polynomial of _text_terms' exponent -> coefficient map."""
+    return field.poly([terms.get(k, 0) for k in range(max(terms, default=-1) + 1)])
 
 
 def poly_from_text(field: Fq, s: str) -> Poly:
     """The polynomial of a text in either form that _text_terms reads."""
-    coeffs = _text_terms(field, s)
-    return field.poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+    return poly_from_terms(field, _text_terms(field, s))

@@ -9,8 +9,9 @@ POINT_COLUMNS order; only JSON pairs them with the names, as it writes.
 
 `count`, `joint` and `cfe` tally the nodes of the Euclid tree per level and
 key, for all their levels at once.  Each node is a coprime pair (r, s), s
-monic of degree n >= 1 and deg r < n, with r^-1 mod s and lead(Q_k) read off
-the convergents of r/s.  Over it lies an orbit of (q - 1)(q + 1) primitive
+monic of degree n and deg r < n, with r^-1 mod s and lead(Q_k) read off
+the convergents of r/s; level 0 holds the one node (0, 1), the empty
+continued fraction.  Over it lies an orbit of (q - 1)(q + 1) primitive
 vectors of level n, the sharp (lambda*s, c*lambda*s + r) and the blunt
 (r, lambda*s), whose direction cells come from the top digits of r and s and
 whose solution statistic is -+lambda^-1 r^-1/s; so one key per node bins
@@ -42,7 +43,10 @@ leads to the successors of d0, q^(d - d0) times as often; those arrivals go
 into a carry, carry[L] = q carry[L - 1] + (arrivals from degree d0 at L).  A
 run costs one compile of states x classes x d0, then levels x successor
 edges.  `_tree_block`, the walk of `lattice.euclid_tree` node by node, is
-the DP's oracle in the tests.  Level 0 keeps the vector-by-vector path.
+the DP's oracle in the tests.  The DP's start state (P_0, Q_0) = (0, 1) is
+the level-0 node, whose orbit is the q^2 - 1 constant vectors: the sharp
+(lambda, mu) and the blunt (0, lambda), all of statistic 0.  It has no cfe
+key, since 0 is no fraction of the open unit ball.
 The level loops repeat no run-wide work: main terms are per-run constants
 times q^(2n), a joint key's orbit cells are found once per run, and cell
 statistics are integers over one denominator per level until printed.
@@ -64,9 +68,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO,
 from . import __version__
 from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
                     convergents, shortest_solution)
-from .field import (NEG_INF, Fq, Ideal, Poly, get_field, is_coprime,
-                    echo_text, poly_from_text, polys_of_degree,
-                    polys_up_to_degree, text_degree)
+from .field import (Fq, Ideal, Poly, _text_terms, get_field, is_coprime,
+                    echo_text, poly_from_terms, polys_of_degree,
+                    polys_up_to_degree)
 from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
                    expected_box_count, hecke_index, hecke_index_bruteforce,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
@@ -108,14 +112,6 @@ class RunConfig(NamedTuple):
     dump: bool = False
     guard: int = 10 ** 8
     cell_floor: int = 8
-
-
-def _work_exponent(cfg: RunConfig, field: Fq) -> int:
-    """e in the work estimate q^e = q^(2 n_max + 2 + deg gen): the Euclid
-    tree's nodes up to level n_max, times the q^deg(gen) residues that the
-    transfer DP lists.  The degree is read off the text, not built."""
-    deg = text_degree(field, cfg.ideal)
-    return 2 * cfg.n_max + 2 + (0 if deg is NEG_INF else deg)
 
 
 def _guard_exponent(q: int, guard: int) -> int:
@@ -167,10 +163,13 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     try:
-        work = _work_exponent(cfg, field)
+        terms = _text_terms(field, cfg.ideal)
     except ValueError as e:
         raise ConfigError(f"bad ideal generator {echo_text(cfg.ideal)}: {e}") from e
-    _check_work(cfg, work, top)
+    # the work estimate q^(2 n_max + 2 + deg gen): the Euclid tree's nodes up
+    # to level n_max, times the q^deg(gen) residues that the transfer DP
+    # lists, with the degree read off the nonzero terms before any is built
+    _check_work(cfg, 2 * cfg.n_max + 2 + max(terms, default=0), top)
     for name, c, e in _cell_tables(cfg):
         if e > top or c * cfg.q ** e > cfg.guard:
             rows = f"{c} x {cfg.q}^{e}" if e > top else c * cfg.q ** e
@@ -178,10 +177,9 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
                 f"the {cfg.experiment} {name} would hold {rows} rows at depths "
                 f"{cfg.depth_m} x {cfg.depth_mp}, above guard {cfg.guard}; "
                 "raise --guard to proceed")
-    gen = poly_from_text(field, cfg.ideal)
-    if gen.is_zero():
+    if not terms:
         raise ConfigError("ideal generator must be nonzero")
-    return field, Ideal(gen)
+    return field, Ideal(poly_from_terms(field, terms))
 
 
 class Report:
@@ -400,7 +398,8 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
 def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                       kind: str, m: int, mp: int) -> Dict[int, Counter]:
     """The tallies of _tree_block, counted per (level, state) by the
-    compiled transfer of the module docstring instead of node by node.  The
+    compiled transfer of the module docstring instead of node by node, and
+    at level 0 the start node (0, 1), which the walk does not visit.  The
     quotients a of degree d act in classes (top w digits, a mod gen) with a
     multiplicity each, grouped by their top digits, so that a successor's
     windows are computed once per top; the residue is uniform over a class
@@ -465,27 +464,35 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     def orbit(rp, rq):
         return _ideal_orbit(residues[rp], residues[rq], gen)
 
+    def count_key(res):
+        return (tuple(range(q)), True) if gen is None else orbit(*res[:2])
+
     def key_of(P, Q, _, Q_prev, gap, sign, res):
         """The node key of a state, or None for a cfe node outside the ideal."""
         if kind == "cfe":
             if gen is not None and res[0]:
                 return None
             return (head(Q, Q_prev, gap, sign), Q[0])
-        key = (tuple(range(q)), True) if gen is None else orbit(*res[:2])
+        key = count_key(res)
         if kind == "joint":
             unlead = mul[inv_t[Q[0]]]
             key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
                    head(Q, Q_prev, gap, sign)) + key
         return key
 
-    # k = 0, state 0 and no node: P_0 = 0 and Q_0 = 1, with P_{-1} = 1 and
-    # Q_{-1} = 0 at gap 0, so that a first quotient a gives P_1 = 1, Q_1 = a
+    # k = 0, state 0 and the level-0 node (0, 1): P_0 = 0 and Q_0 = 1, with
+    # P_{-1} = 1 and Q_{-1} = 0 at gap 0, so that a first quotient a gives
+    # P_1 = 1, Q_1 = a.  Its key is built here, since head() would read
+    # digit mp - 1 of Q_{-1} at gap 0, past a window of width mp - 1.
     one = (1,) + (0,) * w
     start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1],
              (0, code[(1,)], code[(1,)], 0) if gen is not None else ())
+    start_key = None if kind == "cfe" else count_key(start[-1])
+    if kind == "joint":
+        start_key = (one[:m], (0,) * m, (0,) * (mp - 1)) + start_key
     # the compiled transfer: state ids, their states and keys, and the
     # successors [(target id, multiplicity)] by (state id, degree d <= d0)
-    ids, states, keys = {start: 0}, [start], [None]
+    ids, states, keys = {start: 0}, [start], [start_key]
     successors: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
 
     def intern(state):
@@ -538,12 +545,9 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
 
 
 def _level_tallies(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
-    """`kind` node tallies for levels max(1, n_min)..n_max."""
-    n_lo = max(1, cfg.n_min)
-    if cfg.n_max < n_lo:
-        return {}
+    """`kind` node tallies for levels n_min..n_max."""
     gen = None if I.gen.is_one() else I.gen
-    return _transfer_tallies(field, gen, n_lo, cfg.n_max, kind, cfg.depth_m,
+    return _transfer_tallies(field, gen, cfg.n_min, cfg.n_max, kind, cfg.depth_m,
                              cfg.depth_mp)
 
 
@@ -588,20 +592,6 @@ def _bin_orbits(field: Fq, nodes: Dict[int, Counter], theta_ids: Dict,
             for cell, mult in orbits[key].items():
                 hists[n][cell] += count * mult
     return hists
-
-
-def _level_zero(field: Fq, I: Ideal, m: int, mp: int, theta_ids: Dict,
-                dp_ids: Dict) -> Tuple[Counter, int]:
-    """Cell histogram and exception count of the q^2 - 1 constant vectors,
-    vector by vector: level 0 is the only level where the flag fires."""
-    hist: Counter = Counter()
-    exceptional = 0
-    for v in primitive_vectors(field, 0, I):
-        stat, exc = solution_statistic(v)
-        exceptional += exc
-        hist[(theta_ids[lattice_direction_digits(v, 0, m)],
-              dp_ids[stat.expand(1, mp)])] += 1
-    return hist, exceptional
 
 
 def _bin_ratios(field: Fq, tally: Counter, dp_ids: Dict) -> Counter:
@@ -715,10 +705,7 @@ def run_count(cfg: RunConfig) -> Report:
     main0 = counting_main_term(I, 0)  # times q^(2n) at level n
     nodes = _level_tallies(cfg, field, I, "count")
     for n in levels:
-        if n == 0:
-            total = sum(1 for _ in primitive_vectors(field, 0, I))
-        else:
-            total = _orbit_size(field, nodes[n])
+        total = _orbit_size(field, nodes[n])
         main = main0 * cfg.q ** (2 * n)
         rel = Fraction(abs(total * main.denominator - main.numerator), main.numerator)
         rels.append(rel)
@@ -750,14 +737,14 @@ def run_joint(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
-    hists = _bin_orbits(field, _level_tallies(cfg, field, I, "joint"),
-                        theta_ids, dp_ids)
+    nodes = _level_tallies(cfg, field, I, "joint")
+    hists = _bin_orbits(field, nodes, theta_ids, dp_ids)
     for n in levels:
-        if n == 0:
-            hist, exceptional = _level_zero(field, I, m, mp, theta_ids, dp_ids)
-        else:
-            hist, exceptional = hists[n], 0
-        total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)
+        # the exception flag of solution_statistic fires on the sharp
+        # (lambda, mu) of level 0 alone: the companion (0, lambda^-1) has
+        # z-ratio lambda^-2 and x-ratio 0
+        exceptional = 0 if n else (q - 1) * sum(len(key[-2]) for key in nodes[0])
+        total, sup, mean = _cell_table(n, cells, hists[n], expected0 * q ** (2 * n), rows)
         if n >= 1:
             sups.append(sup)
         summary[f"total[n={n}]"] = total
@@ -790,7 +777,7 @@ def run_cfe(cfg: RunConfig) -> Report:
     cells = [(dp,) for dp in dp_ids.values()]
     nodes = _level_tallies(cfg, field, I, "cfe")
     for n in range(cfg.n_min, cfg.n_max + 1):
-        hist = _bin_ratios(field, nodes.get(n, Counter()), dp_ids)
+        hist = _bin_ratios(field, nodes[n], dp_ids)
         total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup

@@ -247,7 +247,10 @@ def solution_statistic(v: LatticeVec, w: Optional[LatticeVec] = None
 
     Returns (statistic in the open unit ball, exception flag).  The flag
     marks sharp vectors whose z-ratio differs from the x-ratio before
-    reduction; this is confined to the constant levels.
+    reduction; this is confined to the constant levels.  It is an oracle:
+    the runners count the flagged vectors in closed form, as the sharp
+    (lambda, mu) of level 0, whose companion (0, lambda^-1) has z-ratio
+    lambda^-2 and x-ratio 0.
     """
     w = companion_of(v) if w is None else w
     zv = z_of(as_plane(v))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,25 @@ class TestExitCodes:
         assert code == 0 and "count: ok" in err
         ideal = argv[-1] if "--ideal" in argv else "1"
         assert f" ideal={ideal} " in out
+
+    def test_ideal_zero_terms_of_high_degree_build_nothing(self, capsys):
+        # the ideal text is read once and only its nonzero terms are built,
+        # so a zero term of degree 10^7 costs neither time nor memory
+        tracemalloc.start()
+        try:
+            code, out, err = run(["count", "--q", "2", "--ideal", "0*Y^10000000+1",
+                                  "--n-max", "1"], capsys)
+            assert code == 0 and err.startswith("count: ok, ")
+            _, unit, _ = run(["count", "--q", "2", "--n-max", "1"], capsys)
+            assert out == unit.replace(" ideal=1 ", " ideal=0*Y^10000000+1 ")
+            code, out, err = run(["count", "--q", "2", "--ideal", "Y^10000000+Y^10000000",
+                                  "--n-max", "1"], capsys)
+            assert code == 2 and out == ""
+            assert err == "configuration error: ideal generator must be nonzero\n"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("text", ["Y2", "Y^2+", "Y^", "Z", "2Y"])
     def test_unreadable_ideal(self, capsys, text):

@@ -7,7 +7,9 @@ with a transfer DP; the walk of `euclid_tree` node by node (`_tree_block`)
 is its oracle, key by key.  The walk in turn is checked against the scan of
 every pair with a gcd, with each vector's statistic from companion_of and
 RationalFn and each cfe fraction's from penultimate_ratio.  Beyond the walk's
-reach, the DP's level totals are checked against closed forms.
+reach, the DP's level totals are checked against closed forms.  Level 0,
+the DP's start node (0, 1), is checked against the scan of the constant
+vectors.
 """
 
 import sys
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _orbit_size,
+from fqlattice.harness import (RunConfig, _bin_ratios, _ideal_orbit, _orbit_size,
                                _residue_arithmetic, _transfer_tallies, _tree_block,
                                run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
@@ -201,10 +203,53 @@ def test_cfe_bins_each_node_by_its_penultimate_ratio(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_level_zero_exceptional_count(q):
-    rep = run_joint(RunConfig(q=q, n_min=0, n_max=1, experiment="joint"))
-    assert rep.summary["exceptional[n=0]"] == q * (q - 1)
-    assert rep.summary["total[n=0]"] == q * q - 1
-    assert rep.summary["exceptional[n=1]"] == 0
+    # the unit ideal takes every constant vector, a proper ideal the sharp
+    # (lambda, 0) and the blunt (0, lambda); the flag fires on the sharp ones
+    for ideal, total, exceptional in (("1", q * q - 1, q * (q - 1)),
+                                      ("Y", 2 * (q - 1), q - 1),
+                                      ("Y+1", 2 * (q - 1), q - 1)):
+        rep = run_joint(RunConfig(q=q, n_min=0, n_max=1, ideal=ideal,
+                                  experiment="joint"))
+        assert rep.summary["exceptional[n=0]"] == exceptional, ideal
+        assert rep.summary["total[n=0]"] == total, ideal
+        assert rep.summary["exceptional[n=1]"] == 0
+
+
+def _level_zero_scan(field, ideal, m, mp, theta_ids, dp_ids):
+    """The reference for level 0: the constant vectors one by one, binned by
+    direction and solution cell, and the number whose exception flag fires."""
+    hist, exceptional = Counter(), 0
+    for v in primitive_vectors(field, 0, ideal):
+        stat, exc = solution_statistic(v)
+        exceptional += exc
+        hist[(theta_ids[lattice_direction_digits(v, 0, m)],
+              dp_ids[stat.expand(1, mp)])] += 1
+    return hist, exceptional
+
+
+@pytest.mark.parametrize("q,n_max,gens", GRID, ids=[f"q{g[0]}" for g in GRID])
+def test_level_zero_matches_vector_scan(q, n_max, gens):
+    # the runners tally level 0 as the DP's start node; the scan of the
+    # constant vectors is its oracle
+    field = get_field(q)
+    for gen in gens:
+        ideal = Ideal(poly_from_text(field, gen))
+        for m, mp in ((1, 1), (1, 2), (2, 3)):
+            theta_ids = {(c.x_digits, c.y_digits): c.id_text()
+                         for c in sphere_cells(field, m)}
+            dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
+            want, exceptional = _level_zero_scan(field, ideal, m, mp, theta_ids, dp_ids)
+            cfg = dict(q=q, n_min=0, n_max=0, ideal=gen, depth_m=m, depth_mp=mp)
+            joint = run_joint(RunConfig(experiment="joint", **cfg))
+            # rows are tuples in column order, up to 524,880 of them at q = 9,
+            # too many to name one by one
+            assert joint.columns[1:4] == ("direction_cell", "solution_cell",
+                                          "empirical_count")
+            got = Counter({(r[1], r[2]): r[3] for r in joint.rows if r[3]})
+            assert got == want, (gen, m, mp)
+            assert joint.summary["exceptional[n=0]"] == exceptional, (gen, m, mp)
+            assert _named(run_count(RunConfig(**cfg)))[0]["exact_count"] == \
+                sum(want.values())
 
 
 @st.composite
@@ -286,6 +331,21 @@ DP_GRID = [
 ]
 
 
+def _walk_from(walk, n_lo, field, g, kind, m, mp):
+    """The walk's tallies from level n_lo on.  Level 0 has no walk node: the
+    DP must tally its start state, the node (r, s) = (0, 1) under the constant
+    vectors, once under the key the walk would give it, and no cfe node,
+    since 0 is no fraction of the open unit ball."""
+    want = {n: t for n, t in walk.items() if n >= n_lo}
+    if n_lo == 0:
+        key = (tuple(range(field.q)), True) if g is None else \
+            _ideal_orbit(field.zero, field.one, g)
+        if kind == "joint":
+            key = ((1,) + (0,) * (m - 1), (0,) * m, (0,) * (mp - 1)) + key
+        want[0] = Counter() if kind == "cfe" else Counter({key: 1})
+    return want
+
+
 @pytest.mark.parametrize("kind", ["count", "joint", "cfe"])
 def test_dp_tallies_match_walk(kind):
     for q, n_max, gens, depths in DP_GRID:
@@ -295,9 +355,9 @@ def test_dp_tallies_match_walk(kind):
             g = None if g.is_one() else g
             for m, mp in depths if kind != "count" else depths[:1]:
                 walk = _tree_block(field, g, 1, n_max, kind, m, mp)
-                for n_lo in (1, 2):
+                for n_lo in (0, 1, 2):
                     dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
-                    assert dp == {n: t for n, t in walk.items() if n >= n_lo}, \
+                    assert dp == _walk_from(walk, n_lo, field, g, kind, m, mp), \
                         (q, gen, m, mp, n_lo)
 
 
@@ -315,9 +375,9 @@ def test_gf2_block_tallies_match_generic(kind):
         g = None if g.is_one() else g
         for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
             walk = _tree_block(field, g, 1, n_max, kind, m, mp)
-            for n_lo in (1, 2):
+            for n_lo in (0, 1, 2):
                 dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
-                assert dp == {n: t for n, t in walk.items() if n >= n_lo}, \
+                assert dp == _walk_from(walk, n_lo, field, g, kind, m, mp), \
                     (gen, m, mp, n_lo)
 
 
@@ -352,9 +412,9 @@ def test_dp_matches_walk_past_the_carry(kind, q, gen, n_max, m, mp):
     g = Ideal(poly_from_text(field, gen)).gen
     g = None if g.is_one() else g
     walk = _tree_block(field, g, 1, n_max, kind, m, mp)
-    for n_lo in (1, 2):
+    for n_lo in (0, 1, 2):
         assert _transfer_tallies(field, g, n_lo, n_max, kind, m, mp) == \
-            {n: t for n, t in walk.items() if n >= n_lo}, n_lo
+            _walk_from(walk, n_lo, field, g, kind, m, mp), n_lo
 
 
 def _unimodular_quadruples(field, gen):

@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import pytest
 
 from fqlattice.field import (
     Fq, Poly, Ideal, NEG_INF, POS_INF, get_field, poly_gcd, poly_xgcd,
     is_coprime, polys_of_degree, polys_up_to_degree, irreducibles_of_degree,
-    is_irreducible, factor, poly_from_text, pretty_poly, text_degree,
+    is_irreducible, factor, poly_from_text, pretty_poly,
     _prime_power_split,
 )
 
@@ -358,16 +359,29 @@ class TestIdeal:
 
 
 class TestTextForms:
-    def test_text_degree_builds_no_coefficients(self):
+    def test_degree_is_the_highest_nonzero_term(self):
         F = Fq(3)
-        assert text_degree(F, "Y^99999999+1") == 99999999
-        assert text_degree(F, "Y^2-Y^2+2*Y") == 1
-        assert text_degree(F, "1,0,2") == 2
-        assert text_degree(F, "1,0,0") == 0
-        assert text_degree(F, "0") is NEG_INF
+        assert poly_from_text(F, "Y^2-Y^2+2*Y") == F.poly((0, 2))
+        assert poly_from_text(F, "1,0,2").degree == 2
+        assert poly_from_text(F, "1,0,0") == F.one
+        assert poly_from_text(F, "0*Y^99999999+1") == F.one
+        assert poly_from_text(F, "Y^9+2*Y^9+Y^9-Y^9") == F.zero
+        assert poly_from_text(F, "0").degree is NEG_INF
         for text in ("Y^2+", "3"):
             with pytest.raises(ValueError):
-                text_degree(F, text)
+                poly_from_text(F, text)
+
+    def test_no_coefficient_list_past_the_highest_nonzero_term(self):
+        # a zero or cancelled term of high degree builds nothing: the unit
+        # ideal's text below once took a list of 10^7 coefficients
+        tracemalloc.start()
+        try:
+            assert poly_from_text(get_field(2), "0*Y^10000000+1") == get_field(2).one
+            assert poly_from_text(get_field(2), "Y^10000000+Y^10000000").is_zero()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_comma_roundtrip(self):
         F = Fq(2)

@@ -27,7 +27,7 @@ from fqlattice.haar import (BoxSpec, cfe_prefactor, counting_main_term,
                            expected_box_count, hecke_index)
 from fqlattice.harness import (POINT_COLUMNS, ConfigError, RunConfig, _cell_table,
                                _csv_table, _fit_exponent, _fraction_json, _trend_status,
-                               _work_exponent, build_id, render_report,
+                               build_id, render_report,
                                run_bijection, run_cfe, run_count, run_joint,
                                run_verify, to_csv, to_json, to_points_csv,
                                validate_config)
@@ -35,8 +35,6 @@ from fqlattice.lattice import (LatticeVec, lattice_is_sharp, primitive_vectors,
                                sphere_cells)
 
 
-F2 = get_field(2)
-F3 = get_field(3)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -61,20 +59,28 @@ def _named(rep):
     return [dict(zip(rep.columns, r)) for r in rep.rows]
 
 
+def _work_estimate_is(cfg, e):
+    """validate_config accepts cfg at guard q^e and refuses it just below,
+    naming q^e as the estimate."""
+    q = cfg["q"]
+    validate_config(RunConfig(guard=q ** e, **cfg))
+    with pytest.raises(ConfigError, match=rf"{q}\^{e} = {q ** e} exceeds guard {q ** e - 1}"):
+        validate_config(RunConfig(guard=q ** e - 1, **cfg))
+
+
 class TestConfig:
     def test_work_estimate(self):
         # the guard's estimate is q^e = q^(2 n_max + 2 + deg gen)
-        assert _work_exponent(RunConfig(q=2, n_max=3), F2) == 8
-        assert _work_exponent(RunConfig(q=3, n_max=7), F3) == 16
+        _work_estimate_is(dict(q=2, n_max=3), 8)
+        _work_estimate_is(dict(q=3, n_max=7), 16)
 
     def test_work_estimate_counts_the_ideal_degree(self):
-        # the DP lists all q^deg(gen) residues
-        assert _work_exponent(RunConfig(q=2, n_max=1, ideal="Y^20"), F2) == 24
-        assert _work_exponent(RunConfig(q=3, n_max=2, ideal="Y^2-Y^2+Y"), F3) == 7
-        cfg = dict(q=2, n_max=3, ideal="Y^18")
-        validate_config(RunConfig(guard=2 ** 26, **cfg))
-        with pytest.raises(ConfigError, match=r"2\^26 = 67108864 exceeds guard 67108863"):
-            validate_config(RunConfig(guard=2 ** 26 - 1, **cfg))
+        # the DP lists all q^deg(gen) residues, deg gen read off the nonzero
+        # terms of the text
+        _work_estimate_is(dict(q=2, n_max=1, ideal="Y^20"), 24)
+        _work_estimate_is(dict(q=3, n_max=2, ideal="Y^2-Y^2+Y"), 7)
+        _work_estimate_is(dict(q=2, n_max=1, ideal="0*Y^10000000+1"), 4)
+        _work_estimate_is(dict(q=2, n_max=3, ideal="Y^18"), 26)
 
     @pytest.mark.parametrize("cfg,estimate", [
         (dict(q=9, n_max=10 ** 6), r">= 9\^2000002 exceeds"),
@@ -120,7 +126,6 @@ class TestConfig:
         # q^(2*n_max+2) = 256, but the cells at depths 40 x 40 would make
         # about 2^118 rows; the refusal comes before any cell is built
         cfg = RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40, experiment=experiment)
-        assert _work_exponent(cfg, F2) == 8
         with pytest.raises(ConfigError, match="rows"):
             validate_config(cfg)
         validate_config(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
@@ -226,6 +231,29 @@ class TestJoint:
         assert rep.summary["exceptional[n=0]"] == 2
         assert rep.summary["exceptional[n=1]"] == 0
         assert rep.summary["exceptional[n=2]"] == 0
+
+    def test_runners_scan_vectors_only_to_dump(self, monkeypatch):
+        # every level, 0 included, is counted from the transfer DP; the
+        # vector scan and the solution statistic only name --dump points
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("primitive_vectors", "solution_statistic"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        for ideal in ("1", "Y"):
+            cfg = dict(q=3, n_min=0, n_max=2, ideal=ideal)
+            run_count(RunConfig(**cfg))
+            run_joint(RunConfig(experiment="joint", **cfg))
+            run_cfe(RunConfig(experiment="cfe", **cfg))
+        assert not calls
+        run_count(RunConfig(q=2, n_min=0, n_max=1, dump=True))
+        # one scan per level, one statistic per point: 3 at level 0, 6 at 1
+        assert calls["primitive_vectors"] == 2 and calls["solution_statistic"] == 9
 
     def test_depth_warning(self):
         rep = run_joint(RunConfig(q=2, n_min=1, n_max=1, depth_mp=4,

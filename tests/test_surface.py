@@ -34,6 +34,8 @@ TEST_ONLY = {
                                 "checked against; the perfbench tracer patches it"),
     "cfrac.is_convergent": "characterizes the convergents by approximation quality",
     "field.Ideal.unit": "the public constructor of the unit ideal; tests build fixtures with it",
+    "field.poly_from_text": ("the public reader of polynomial text; validate_config reads "
+                             "the --ideal terms once and builds them with poly_from_terms"),
     "haar.sharp_hemisphere_mass": "the two hemisphere masses must sum to sphere_mass",
     "haar.nonsharp_hemisphere_mass": "the two hemisphere masses must sum to sphere_mass",
     "haar.kernel_ball_measure": "the inverse of sl2_order_mod, closed form against census",
