@@ -530,9 +530,7 @@ class Ideal(_IdealFields):
 
     @property
     def norm(self) -> int:
-        # N(I) = q^deg(gen); the unit ideal has norm 1
-        if self.gen.is_one():
-            return 1
+        # N(I) = q^deg(gen); the unit ideal has norm q^0 = 1
         return self.gen.field.q ** self.gen.degree
 
     def primes(self) -> Tuple[Poly, ...]:

@@ -132,7 +132,7 @@ def _cell_tables(cfg: RunConfig) -> List[Tuple[str, int, int]]:
     c, e = {"cfe": (1, 0), "joint": (q * q - 1, 2 * m - 2),
             "bijection": (q - 1, 2 * m - 1)}.get(cfg.experiment, (0, 0))
     tables = [("report", (cfg.n_max - cfg.n_min + 1) * c, e + mp - 1)] if c else []
-    if cfg.dump and cfg.experiment in ("count", "joint"):
+    if cfg.dump:
         tables += [("--dump direction cell list", q * q - 1, 2 * m - 2),
                    ("--dump solution cell list", 1, mp - 1)]
     return tables
@@ -146,7 +146,15 @@ def _check_work(cfg: RunConfig, e: int, top: int, relation: str = "=") -> None:
             f"exceeds guard {cfg.guard}; raise --guard to proceed")
 
 
-def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
+def validate_config(cfg: RunConfig, kind: str) -> Tuple[Fq, Ideal]:
+    """The field and ideal of a config that the `kind` runner can run; a
+    config naming another experiment, or a dump that `kind` cannot list, is
+    refused before anything else."""
+    if cfg.experiment != kind:
+        raise ConfigError(f"run_{kind} was given a config for experiment "
+                          f"{echo_text(cfg.experiment)}; set experiment={kind!r}")
+    if cfg.dump and kind not in ("count", "joint"):
+        raise ConfigError(f"--dump applies only to count and joint, not {kind}")
     if cfg.n_min < 0 or cfg.n_min > cfg.n_max:
         raise ConfigError(f"empty or negative level range [{cfg.n_min}, {cfg.n_max}]")
     if cfg.depth_m < 1 or cfg.depth_mp < 1:
@@ -183,11 +191,15 @@ def validate_config(cfg: RunConfig) -> Tuple[Fq, Ideal]:
 
 
 class Report:
-    def __init__(self, kind: str, config: RunConfig, columns: Tuple[str, ...],
-                 rows: List[tuple], summary: Dict[str, object],
-                 warnings: Optional[List[str]] = None,
-                 points: Optional[List[tuple]] = None):
-        self.kind, self.config, self.columns = kind, config, columns
+    """A run's rows and summary under its config's experiment (`kind`) and
+    COLUMNS; `failures` counts the hard assertions that failed."""
+
+    def __init__(self, config: RunConfig, rows: List[tuple],
+                 summary: Dict[str, object], warnings: Optional[List[str]] = None,
+                 points: Optional[List[tuple]] = None, failures: int = 0):
+        self.config, self.kind = config, config.experiment
+        self.columns = COLUMNS[config.experiment]
+        self.failures = failures
         self.rows, self.summary = rows, summary
         self.warnings = [] if warnings is None else warnings
         self.points = points
@@ -625,8 +637,6 @@ def _fit_exponent(levels: Sequence[int], errors: Sequence[Fraction],
     xs, ys = zip(*pts)
     xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
     denom = sum((x - xbar) ** 2 for x in xs)
-    if denom == 0:
-        return None
     slope = sum((x - xbar) * (y - ybar) for x, y in pts) / denom
     return -slope / (2 * math.log(q))
 
@@ -697,7 +707,7 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
 
 
 def run_count(cfg: RunConfig) -> Report:
-    field, I = validate_config(cfg)
+    field, I = validate_config(cfg, "count")
     warnings: List[str] = []
     rows = []
     levels = list(range(cfg.n_min, cfg.n_max + 1))
@@ -721,11 +731,11 @@ def run_count(cfg: RunConfig) -> Report:
     points = None
     if cfg.dump:
         points = _dump_points(field, I, levels, cfg.depth_m, cfg.depth_mp, warnings)
-    return Report("count", cfg, COLUMNS["count"], rows, summary, warnings, points)
+    return Report(cfg, rows, summary, warnings, points)
 
 
 def run_joint(cfg: RunConfig) -> Report:
-    field, I = validate_config(cfg)
+    field, I = validate_config(cfg, "joint")
     q, m, mp = cfg.q, cfg.depth_m, cfg.depth_mp
     warnings: List[str] = []
     expected0 = expected_box_count(I, BoxSpec(0, Fraction(1, q ** (2 * m)),
@@ -760,11 +770,12 @@ def run_joint(cfg: RunConfig) -> Report:
     points = None
     if cfg.dump:
         points = _dump_points(field, I, levels, m, mp, warnings)
-    return Report("joint", cfg, COLUMNS["joint"], rows, summary, warnings, points)
+    return Report(cfg, rows, summary, warnings, points,
+                  failures=int(summary["trend"] == "fail"))
 
 
 def run_cfe(cfg: RunConfig) -> Report:
-    field, I = validate_config(cfg)
+    field, I = validate_config(cfg, "cfe")
     q, mp = cfg.q, cfg.depth_mp
     pref = cfe_prefactor(I)
     warnings: List[str] = []
@@ -782,7 +793,7 @@ def run_cfe(cfg: RunConfig) -> Report:
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean
-    return Report("cfe", cfg, COLUMNS["cfe"], rows, summary, warnings)
+    return Report(cfg, rows, summary, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +822,7 @@ def _elementary_sample(field: Fq, count: int) -> List[Mat2]:
 
 
 def run_verify(cfg: RunConfig) -> Report:
-    field, I = validate_config(cfg)
+    field, I = validate_config(cfg, "verify")
     rows = []
 
     def add(name: str, formula: str, exact, oracle):
@@ -895,11 +906,11 @@ def run_verify(cfg: RunConfig) -> Report:
 
     failed = sum(1 for r in rows if not r[-1])
     summary = {"passed": len(rows) - failed, "failed": failed}
-    return Report("verify", cfg, COLUMNS["verify"], rows, summary, [])
+    return Report(cfg, rows, summary, failures=failed)
 
 
 def run_bijection(cfg: RunConfig) -> Report:
-    field, I = validate_config(cfg)
+    field, I = validate_config(cfg, "bijection")
     rows = []
     mismatches = 0
     for n in range(cfg.n_min, cfg.n_max + 1):
@@ -909,7 +920,7 @@ def run_bijection(cfg: RunConfig) -> Report:
             rows.append((n, th.id_text(), dp.id_text(), str(I),
                          res.lattice_count, res.matrix_count, res.equal))
     summary = {"cases": len(rows), "mismatches": mismatches}
-    return Report("bijection", cfg, COLUMNS["bijection"], rows, summary, [])
+    return Report(cfg, rows, summary, failures=mismatches)
 
 
 RUNNERS: Dict[str, Callable[[RunConfig], Report]] = {

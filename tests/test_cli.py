@@ -130,13 +130,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["cfe", "verify", "bijection"])
     def test_dump_refused_outside_count_and_joint(self, capsys, monkeypatch, name):
-        def no_work(cfg):
+        # the runner refuses it before it builds the field
+        def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.cli.RUNNERS", {name: no_work})
+        monkeypatch.setattr("fqlattice.harness.get_field", no_work)
         code, out, err = run([name, "--dump", "--n-max", "1"], capsys)
         assert code == 2 and out == ""
         assert err == ("configuration error: --dump applies only to count "
                        f"and joint, not {name}\n")
+
+    @pytest.mark.parametrize("tail,refusal", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--n-min", "3", "--n-max", "1"], "--dump applies only to count and joint, not cfe"),
+    ])
+    def test_dump_refusal_order(self, capsys, tail, refusal):
+        code, out, err = run(["cfe", "--dump", *tail], capsys)
+        assert (code, out, err) == (2, "", f"configuration error: {refusal}\n")
 
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
@@ -208,6 +217,12 @@ class TestExitCodes:
         code, _, err = run(["verify"], capsys)
         assert code == 1
         assert "failure(s)" in err
+
+    def test_joint_trend_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("fqlattice.harness._trend_status", lambda sups: "fail")
+        code, out, err = run(["joint", "--n-max", "2"], capsys)
+        assert code == 1 and "# summary trend=fail\n" in out
+        assert err.splitlines()[-1].startswith("joint: 1 failure(s), ")
 
 
 def reference_parser() -> argparse.ArgumentParser:

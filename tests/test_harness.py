@@ -59,13 +59,18 @@ def _named(rep):
     return [dict(zip(rep.columns, r)) for r in rep.rows]
 
 
+def _valid(cfg):
+    """validate_config as the runner of cfg's own experiment calls it."""
+    return validate_config(cfg, cfg.experiment)
+
+
 def _work_estimate_is(cfg, e):
     """validate_config accepts cfg at guard q^e and refuses it just below,
     naming q^e as the estimate."""
     q = cfg["q"]
-    validate_config(RunConfig(guard=q ** e, **cfg))
+    _valid(RunConfig(guard=q ** e, **cfg))
     with pytest.raises(ConfigError, match=rf"{q}\^{e} = {q ** e} exceeds guard {q ** e - 1}"):
-        validate_config(RunConfig(guard=q ** e - 1, **cfg))
+        _valid(RunConfig(guard=q ** e - 1, **cfg))
 
 
 class TestConfig:
@@ -95,14 +100,14 @@ class TestConfig:
         # built: each refusal is immediate and its message short
         t0 = time.perf_counter()
         with pytest.raises(ConfigError, match=estimate) as refusal:
-            validate_config(RunConfig(**cfg))
+            _valid(RunConfig(**cfg))
         assert time.perf_counter() - t0 < 1
         assert len(str(refusal.value)) < 300
 
     def test_guard_refusal_names_estimate(self):
         cfg = RunConfig(q=3, n_max=9, guard=10 ** 6)
         with pytest.raises(ConfigError, match="3486784401"):
-            validate_config(cfg)
+            _valid(cfg)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_min": 2, "n_max": 1},
@@ -119,7 +124,7 @@ class TestConfig:
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(ConfigError):
-            validate_config(RunConfig(**kwargs))
+            _valid(RunConfig(**kwargs))
 
     @pytest.mark.parametrize("experiment", ["joint", "bijection"])
     def test_guard_counts_report_rows(self, experiment):
@@ -127,20 +132,22 @@ class TestConfig:
         # about 2^118 rows; the refusal comes before any cell is built
         cfg = RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40, experiment=experiment)
         with pytest.raises(ConfigError, match="rows"):
-            validate_config(cfg)
-        validate_config(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
+            _valid(cfg)
+        _valid(RunConfig(q=2, n_max=3, depth_m=40, depth_mp=40))
 
     def test_guard_counts_dump_cells(self):
         # --dump lists every direction and solution cell to name the points
         # of count: about 2^80 and 2^59 of them here, refused at once
         t0 = time.perf_counter()
         with pytest.raises(ConfigError, match=r"direction cell list would hold 3 x 2\^78"):
-            validate_config(RunConfig(dump=True, depth_m=40, depth_mp=60))
+            _valid(RunConfig(dump=True, depth_m=40, depth_mp=60))
         with pytest.raises(ConfigError, match=r"solution cell list would hold 1 x 2\^59"):
-            validate_config(RunConfig(dump=True, depth_mp=60))
+            _valid(RunConfig(dump=True, depth_mp=60))
         assert time.perf_counter() - t0 < 1
-        validate_config(RunConfig(depth_m=40, depth_mp=60))
-        validate_config(RunConfig(dump=True, depth_m=40, experiment="cfe"))
+        _valid(RunConfig(depth_m=40, depth_mp=60))
+        # cfe lists no points, so it refuses a dump before the cell guard
+        with pytest.raises(ConfigError, match="^--dump applies only to count and joint, not cfe$"):
+            _valid(RunConfig(dump=True, depth_m=40, experiment="cfe"))
 
     @pytest.mark.parametrize("depths,cells,text", [
         ((3, 2), 48, "direction cell list would hold 48 rows"),
@@ -149,17 +156,17 @@ class TestConfig:
     def test_dump_cell_guard_is_exact(self, depths, cells, text):
         # 3 * 2^4 direction cells at m = 3, 2^6 solution cells at mp = 7
         cfg = dict(q=2, n_max=1, depth_m=depths[0], depth_mp=depths[1], dump=True)
-        validate_config(RunConfig(guard=cells, **cfg))
+        _valid(RunConfig(guard=cells, **cfg))
         with pytest.raises(ConfigError, match=text):
-            validate_config(RunConfig(guard=cells - 1, **cfg))
-        validate_config(RunConfig(guard=cells - 1, **dict(cfg, dump=False)))
+            _valid(RunConfig(guard=cells - 1, **cfg))
+        _valid(RunConfig(guard=cells - 1, **dict(cfg, dump=False)))
 
     def test_guard_counts_cfe_rows(self):
         cfg = dict(q=3, n_min=1, n_max=2, depth_mp=8, experiment="cfe")
         # 2 levels * 3^7 solution cells
-        validate_config(RunConfig(guard=2 * 3 ** 7, **cfg))
+        _valid(RunConfig(guard=2 * 3 ** 7, **cfg))
         with pytest.raises(ConfigError, match="4374 rows"):
-            validate_config(RunConfig(guard=2 * 3 ** 7 - 1, **cfg))
+            _valid(RunConfig(guard=2 * 3 ** 7 - 1, **cfg))
 
     @pytest.mark.parametrize("runner,cfg", [
         (run_joint, dict(q=3, n_min=0, n_max=1, depth_m=2, depth_mp=2, experiment="joint")),
@@ -169,13 +176,56 @@ class TestConfig:
     ])
     def test_row_guard_is_exact(self, runner, cfg):
         rows = len(runner(RunConfig(**cfg)).rows)
-        validate_config(RunConfig(guard=rows, **cfg))
+        _valid(RunConfig(guard=rows, **cfg))
         with pytest.raises(ConfigError, match=f"{rows} rows"):
-            validate_config(RunConfig(guard=rows - 1, **cfg))
+            _valid(RunConfig(guard=rows - 1, **cfg))
 
     def test_valid_config_returns_field_and_ideal(self):
-        field, I = validate_config(RunConfig(q=3, ideal="Y^2+1"))
+        field, I = _valid(RunConfig(q=3, ideal="Y^2+1"))
         assert field.q == 3 and str(I.gen) == "Y^2+1"
+
+
+# a small config of each experiment
+SMALL = {"count": dict(q=2, n_max=1), "joint": dict(q=2, n_max=1),
+         "cfe": dict(q=2, n_max=1), "verify": dict(q=2),
+         "bijection": dict(q=2, n_min=0, n_max=1)}
+
+
+class TestOneExperiment:
+    """RunConfig.experiment alone names a run's experiment: each runner runs
+    its own and refuses a config for another before any work."""
+
+    @pytest.mark.parametrize("kind", SMALL)
+    def test_runner_runs_its_own_experiment(self, kind):
+        rep = harness.RUNNERS[kind](RunConfig(experiment=kind, **SMALL[kind]))
+        assert (rep.kind, rep.columns, rep.failures) == (kind, harness.COLUMNS[kind], 0)
+
+    @pytest.mark.parametrize("kind,experiment",
+                             [(k, e) for k in SMALL for e in SMALL if k != e])
+    def test_runner_refuses_another_experiment(self, monkeypatch, kind, experiment):
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(harness, "get_field", no_work)
+        with pytest.raises(ConfigError) as refusal:
+            harness.RUNNERS[kind](RunConfig(experiment=experiment, **SMALL[experiment]))
+        assert str(refusal.value) == (f"run_{kind} was given a config for experiment "
+                                      f"'{experiment}'; set experiment='{kind}'")
+
+    def test_count_config_cannot_bypass_the_joint_row_guard(self):
+        # RunConfig() names count; run_joint once ran such a config past the
+        # joint row guard and returned its 24 rows under kind=joint
+        cfg = RunConfig(q=2, n_max=1, depth_m=2, depth_mp=2, guard=20)
+        with pytest.raises(ConfigError, match="^run_joint was given a config for "
+                                              "experiment 'count'"):
+            run_joint(cfg)
+        with pytest.raises(ConfigError, match="the joint report would hold 24 rows"):
+            run_joint(cfg._replace(experiment="joint"))
+
+    @pytest.mark.parametrize("kind", ["cfe", "verify", "bijection"])
+    def test_dump_refused_outside_count_and_joint(self, kind):
+        with pytest.raises(ConfigError) as refusal:
+            harness.RUNNERS[kind](RunConfig(experiment=kind, dump=True))
+        assert str(refusal.value) == f"--dump applies only to count and joint, not {kind}"
 
 
 class TestCount:

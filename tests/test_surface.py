@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import fqlattice
-from fqlattice import cfrac, field, lattice, laurent
+from fqlattice import cfrac, field, harness, lattice, laurent
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fqlattice"
@@ -198,3 +198,11 @@ def test_perfbench_tracer_installs():
     finally:
         tracer.uninstall()
     assert _traced() == originals
+
+
+@pytest.mark.parametrize("kind", ["count", "joint", "cfe", "verify", "bijection"])
+def test_runners_are_the_module_functions(kind):
+    # the perfbench tracer swaps each wrapped runner for its wrapper wherever
+    # the function object is bound; a wrapped or rebuilt RUNNERS entry would
+    # keep its calls out of harness.runner.self_s
+    assert harness.RUNNERS[kind] is getattr(harness, f"run_{kind}")

@@ -98,8 +98,8 @@ class TestContract:
             f"{f}={getattr(value, f)!r}" for f in cls._fields) + ")"
 
     def test_report_is_mutable_with_fresh_warnings(self):
-        a = Report("count", RunConfig(), ("n",), [], {})
-        b = Report("count", RunConfig(), ("n",), [], {})
+        a = Report(RunConfig(), [], {})
+        b = Report(RunConfig(), [], {})
         a.warnings.append("w")
         a.points = []
         assert b.warnings == [] and (a.points, b.points) == ([], None)
