@@ -590,9 +590,11 @@ def _text_terms(field: Fq, s: str) -> Dict[int, int]:
     pretty form ("Y^2+2*Y+1"), like terms summed: the highest key is the
     degree, and "0*Y^99999999+1" reads as the constant 1.
 
-    Anything else is rejected with the position it stopped at: text such as
-    "Y2" or "Y^2+" is never read as something it does not say.
+    Anything else is rejected with its position, and so is a line break, which
+    would split a report's config echo: "Y2" or "Y^2+" is never misread.
     """
+    if (pos := len((s + "\n").splitlines()[0])) < len(s):
+        raise ValueError(f"line break {echo_text(s[pos])} at position {pos}")
     s = s.strip()
     if not s:
         raise ValueError("empty polynomial text")

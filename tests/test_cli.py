@@ -80,6 +80,25 @@ class TestExitCodes:
         assert f"bad ideal generator {text!r}" in err
         assert "invalid literal" not in err
 
+    @pytest.mark.parametrize("text", ["Y\n+1", "Y\n", "Y\r+1", "Y\u2028+1"])
+    def test_ideal_line_break_refused(self, tmp_path, capsys, text):
+        # a line break in the echoed ideal would put a non-comment line in
+        # the CSV header
+        target = tmp_path / "r.csv"
+        code, out, err = run(["count", "--q", "2", "--n-max", "2", "--ideal", text,
+                              "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"configuration error: bad ideal generator {text!r}: "
+                       f"line break {text[1]!r} at position 1\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text", ["Y + 1", "Y\t+1"])
+    def test_ideal_spaces_and_tabs_accepted(self, capsys, text):
+        code, out, _ = run(["count", "--q", "2", "--n-max", "2", "--ideal", text], capsys)
+        _, plus, _ = run(["count", "--q", "2", "--n-max", "2", "--ideal", "Y+1"], capsys)
+        assert code == 0
+        assert out == plus.replace(" ideal=Y+1 ", f" ideal={text} ")
+
     @pytest.mark.parametrize("argv", [
         ["count", "--q", "9", "--n-max", "1000000"],
         ["count", "--q", "9", "--n-max", "100000000"],

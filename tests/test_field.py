@@ -451,9 +451,23 @@ class TestTextForms:
         with pytest.raises(ValueError, match="coefficient"):
             poly_from_text(Fq(q), text)
 
+    @pytest.mark.parametrize("text,where", [
+        ("Y\n+1", r"'\n' at position 1"),
+        ("Y\n", r"'\n' at position 1"),
+        ("Y\r+1", r"'\r' at position 1"),
+        ("Y\u2028+1", r"'\u2028' at position 1"),
+        ("\r\nY", r"'\r' at position 0"),
+        ("1,\x0b0", r"'\x0b' at position 2"),
+    ])
+    def test_parse_rejects_line_breaks(self, text, where):
+        # a line break would split the report's one-line config echo
+        with pytest.raises(ValueError, match=re.escape(f"line break {where}")):
+            poly_from_text(Fq(2), text)
+
     def test_parse_accepts_signs_spaces_and_brackets(self):
         F = Fq(3)
         assert poly_from_text(F, "-Y + 2") == F.poly((2, 2))
+        assert poly_from_text(F, "\tY\t+1 ") == poly_from_text(F, "Y + 1") == F.poly((1, 1))
         assert poly_from_text(F, "2Y^2") == F.poly((0, 0, 2))
         F4 = Fq(4)
         assert poly_from_text(F4, "[10]*Y^2+[11]") == F4.poly((3, 0, 2))

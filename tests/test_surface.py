@@ -1,22 +1,27 @@
-"""The library's surface: no orphaned definitions, and `__all__` resolves.
+"""The library's surface: no orphaned definitions, and the layering holds.
 
 Every top-level function and class, and every method that is not a dunder,
 defined in `src/fqlattice/` must be referenced somewhere in `src/` or
 `tests/` outside its own definition.  References are read with `ast`:
 a name that is loaded, an attribute, or a string constant that is exactly
 the name or a dotted path ending in it (as in
-`monkeypatch.setattr(module, "name", ...)`).  Imports, docstrings and the
-strings of `__all__` do not count: exporting a name does not use it.
-Attributes cannot be resolved statically, so a method counts as referenced
-when any attribute of its spelling is.
+`monkeypatch.setattr(module, "name", ...)`); imports and docstrings do not
+count.  Attributes cannot be resolved statically, so a method counts as
+referenced when any attribute of its spelling is.
 
 A definition that only tests reference is an oracle or a fixture, and must be
 listed in TEST_ONLY with the reason it is kept; an entry that `src/` now uses
 is stale and fails too.
+
+The modules are layered as in LAYERS: importing one loads only the ones
+before it, and the package root, which re-exports nothing, loads none.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,7 @@ from fqlattice import cfrac, field, harness, lattice, laurent
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fqlattice"
+LAYERS = ("field", "laurent", "haar", "lattice", "cfrac", "harness", "cli")
 
 # module.qualname -> why the library keeps a definition no src/ code calls
 TEST_ONLY = {
@@ -71,22 +77,11 @@ def _definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", path, item
 
 
-def _exported(tree):
-    """ids of the nodes inside `__all__ = [...]` assignments."""
-    return {id(n) for node in tree.body if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for n in ast.walk(node.value)}
-
-
 def _references():
     """name -> [(file, line)] over src/ and tests/."""
     refs = {}
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
-        tree = _parse(path)
-        exported = _exported(tree)
-        for node in ast.walk(tree):
-            if id(node) in exported:
-                continue
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -126,10 +121,31 @@ def test_test_only_definitions_are_listed():
     assert not stale, "TEST_ONLY entries that src/ uses or no longer defines:\n" + "\n".join(stale)
 
 
-def test_all_names_resolve():
-    missing = [name for name in fqlattice.__all__ if not hasattr(fqlattice, name)]
-    assert not missing
-    assert len(set(fqlattice.__all__)) == len(fqlattice.__all__)
+def _loaded_by(statement):
+    """The modules that `statement` adds to sys.modules in a fresh interpreter."""
+    # the child imports the same fqlattice as this process
+    src = str(Path(fqlattice.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              f"{statement}\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("depth,name", enumerate(
+    ["fqlattice"] + [f"fqlattice.{m}" for m in LAYERS]))
+def test_a_module_loads_only_the_layers_below_it(depth, name):
+    loaded = {m for m in _loaded_by(f"import {name}") if m.split(".")[0] == "fqlattice"}
+    assert loaded == {"fqlattice"} | {f"fqlattice.{m}" for m in LAYERS[:depth]}
+
+
+def test_field_loads_no_json_or_fractions():
+    assert not {"json", "fractions"} & _loaded_by("import fqlattice.field")
 
 
 def test_no_dataclasses_import():
