@@ -54,11 +54,16 @@ _BY_FLAG = {option[0]: option for option in OPTIONS}
 def _parse_modulus(text: Optional[str]):
     if text is None:
         return None
+    # ASCII digits with spaces or tabs around them: int() alone would also
+    # read other scripts' digits, a sign or a line break
+    pieces = [piece.strip(" \t") for piece in text.split(",")]
     try:
-        return tuple(int(c) for c in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad modulus {echo_text(text)}: expected comma-separated "
-                          "coefficient digits, constant first") from e
+        if all(piece and set(piece) <= set("0123456789_") for piece in pieces):
+            return tuple(map(int, pieces))  # which refuses a misplaced "_"
+    except ValueError:
+        pass
+    raise ConfigError(f"bad modulus {echo_text(text)}: expected comma-separated "
+                      "coefficient digits, constant first")
 
 
 def build_parser():

@@ -164,8 +164,8 @@ class Fq:
 
     def element_from_text(self, s: str) -> int:
         """Inverse of element_text: decimal when d = 1, base-p digits
-        otherwise; value below q."""
-        if not s or any(not c.isdigit() or int(c) >= self.p for c in s):
+        otherwise, ASCII 0-9 only; value below q."""
+        if not s or any(c not in "0123456789" or int(c) >= self.p for c in s):
             raise ValueError(f"coefficient {echo_text(s)} is not a base-{self.p} digit string")
         v = int(s, 10 if self.d == 1 else self.p)
         if v >= self.q:
@@ -577,7 +577,8 @@ def pretty_poly(p: Poly) -> str:
 
 # one signed term: a coefficient (bare or [bracketed] base-p digits),
 # optionally followed by '*' and Y with an optional ^exponent; or a bare Y
-_TERM = re.compile(r"\s*([+-]?)\s*(?:(?:(\[\d+\]|\d+)\*?)?(Y)(?:\^(\d+))?|(\[\d+\]|\d+))\s*")
+_TERM = re.compile(
+    r"\s*([+-]?)\s*(?:(?:(\[[0-9]+\]|[0-9]+)\*?)?(Y)(?:\^([0-9]+))?|(\[[0-9]+\]|[0-9]+))\s*")
 
 
 def echo_text(s: str) -> str:

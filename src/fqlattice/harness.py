@@ -27,26 +27,27 @@ deg a + deg Q_k - deg Q_{k-1} < w.  A state at D = deg Q_k holds those
 windows of Q_k and Q_{k-1} (and m digits of P_k and P_{k-1} for joint), each
 read from its own Q degree down with zeros below Y^0, the gap
 deg Q_k - deg Q_{k-1}, the sign (-1)^(k+1) (count, whose keys read no sign,
-keeps it fixed) and, for a proper ideal, the residues of P_k, Q_k, P_{k-1}
-and Q_{k-1} mod its generator up to a common scalar; when every quotient
-degree meets all residues alike (deg gen = 1 and w <= 1), only the point
-(P_k : Q_k) of P^1.  Each node key is a function of the state.  w is
-max(m, mp - 1) for joint, max(1, mp - 1) for cfe (lead(Q_k) is in its key)
-and 0 for count.  The gap is capped at w + 1, not w: a gap of exactly
-mp - 1 = w still puts a nonzero digit at depth mp - 1, so only gaps beyond
-w behave alike.  The transfer does not depend on the level, so it is
-compiled once: a state becomes an int, with its key, when first reached, and
-its successors are built once per quotient degree d <= d0 = max(w + 1,
-deg gen + max(w, 1) - 1).  From d0 on the gap is capped, the windows miss
-Q_{k-1} and the residue is uniform over each class, so a degree d >= d0
-leads to the successors of d0, q^(d - d0) times as often; those arrivals go
-into a carry, carry[L] = q carry[L - 1] + (arrivals from degree d0 at L).  A
-run costs one compile of states x classes x d0, then levels x successor
-edges.  `_tree_block`, the walk of `lattice.euclid_tree` node by node, is
-the DP's oracle in the tests.  The DP's start state (P_0, Q_0) = (0, 1) is
-the level-0 node, whose orbit is the q^2 - 1 constant vectors: the sharp
-(lambda, mu) and the blunt (0, lambda), all of statistic 0.  It has no cfe
-key, since 0 is no fraction of the open unit ball.
+keeps it fixed) and the residues of P_k, Q_k, P_{k-1} and Q_{k-1} mod the
+ideal's generator up to a common scalar (the unit ideal (1) has the one
+residue 0); when every quotient degree meets all residues alike (deg gen = 1
+and w <= 1), only the point (P_k : Q_k) of P^1.  Each node key is a function
+of the state.  w is max(m, mp - 1) for joint, max(1, mp - 1) for cfe
+(lead(Q_k) is in its key) and 0 for count.  The gap is capped at w + 1, not
+w: a gap of exactly mp - 1 = w still puts a nonzero digit at depth mp - 1,
+so only gaps beyond w behave alike.  The transfer does not depend on the
+level, so it is compiled once: a state becomes an int, with its key, when
+first reached, and its successors are built once per quotient degree
+d <= d0 = max(w + 1, deg gen + max(w, 1) - 1).  From d0 on the gap is
+capped, the windows miss Q_{k-1} and the residue is uniform over each class,
+so a degree d >= d0 leads to the successors of d0, q^(d - d0) times as
+often; those arrivals go into a carry, carry[L] = q carry[L - 1] +
+(arrivals from degree d0 at L).  A run costs one compile of states x
+classes x d0, then levels x successor edges.  `_tree_block`, the walk of
+`lattice.euclid_tree` node by node, is the DP's oracle in the tests.  The
+DP's start state (P_0, Q_0) = (0, 1) is the level-0 node, whose orbit is
+the q^2 - 1 constant vectors: the sharp (lambda, mu) and the blunt
+(0, lambda), all of statistic 0.  It has no cfe key, since 0 is no fraction
+of the open unit ball.
 The level loops repeat no run-wide work: main terms are per-run constants
 times q^(2n), a joint key's orbit cells are found once per run, and cell
 statistics are integers over one denominator per level until printed.
@@ -319,36 +320,38 @@ def render_report(report: Report, fmt: str, stream: TextIO) -> None:
 
 
 def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
-    """Which vectors over (r, s) keep their small component in (gen), a
-    proper ideal: the mu in F_q with mu*s + r in it (sharp vectors,
-    mu = c*lambda), and whether r is in it (blunt vectors)."""
+    """Which vectors over (r, s) keep their small component in (gen): the mu
+    in F_q with mu*s + r in it (sharp vectors, mu = c*lambda), and whether r
+    is in it (blunt vectors)."""
     field = gen.field
     rg, sg = r % gen, s % gen
     if rg.is_zero():
-        # gcd(r, s) = 1 leaves s a unit mod gen
-        return (0,), True
+        # gcd(r, s) = 1 leaves s a unit mod gen, which is 0 only in (1)
+        return (tuple(range(field.q)) if sg.is_zero() else (0,)), True
     if sg.is_zero() or rg.degree != sg.degree:
         return (), False
     mu = field.neg_t[field.mul_t[rg.lead][field.inv_t[sg.lead]]]
     return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
-def _residue_arithmetic(field: Fq, gen: Optional[Poly], uniform: bool):
-    """The residues mod gen as ints: their index in `residues`, found by
-    `code` of their coefficients.  Returns those two, the lead of each
-    residue, affine(rho, x, y) = rho*x + y mod gen, and
+def _residue_arithmetic(gen: Poly, uniform: bool):
+    """The residues mod gen as ints, the unit ideal having the one residue 0:
+    their index in `residues`, found by `code` of their coefficients.
+    Returns those two, affine(rho, x, y) = rho*x + y mod gen, and
     canonical(P_k, Q_k, P_{k-1}, Q_{k-1}): a DP state's residues in the form
     its keys and successors read.  That form divides them by the lead of the
     first nonzero of (P_k, Q_k), since no key sees a common scalar and the
-    recurrence commutes with one.  When every quotient degree meets all
-    residues alike (`uniform`, so deg gen = 1), rho*v_k + c runs over P^1
-    minus [v_k] for any c off the line of v_k, so (P_{k-1}, Q_{k-1}) becomes
-    the complement (0, 1), or (1, 0) when P_k = 0.  Both functions read
-    tables: the rows of rho*x and of u + y, built on first use, and a
-    scaling row per lambda in F_q^*, built once."""
-    residues = list(polys_up_to_degree(field, (0 if gen is None else gen.degree) - 1))
+    recurrence commutes with one; mod (1) it is (0, 0, 0, 0).  When every
+    quotient degree meets all residues alike (`uniform`, so deg gen <= 1),
+    rho*v_k + c runs over P^1 minus [v_k] for any c off the line of v_k, so
+    (P_{k-1}, Q_{k-1}) becomes the complement (0, 1), or (1, 0) when P_k = 0.
+    Both functions read tables: the rows of rho*x and of u + y, built on
+    first use, and a scaling row per lambda in F_q^*, built once, with the
+    identity row at lead 0 for the residue 0."""
+    field = gen.field
+    residues = list(polys_up_to_degree(field, gen.degree - 1))
     code = {p.coeffs: i for i, p in enumerate(residues)}
-    one = code.get((1,))
+    one = code[(field.one % gen).coeffs]
 
     @lru_cache(maxsize=None)
     def times(rho):
@@ -359,12 +362,11 @@ def _residue_arithmetic(field: Fq, gen: Optional[Poly], uniform: bool):
     def plus(u):
         return [code[(residues[u] + y).coeffs] for y in residues]
 
-    @lru_cache(maxsize=None)
     def affine(rho, x, y):
         return plus(times(rho)[x])[y]
 
-    scaled = [None] + [[code[x.scale(lam).coeffs] for x in residues]
-                       for lam in range(1, field.q)]
+    scaled = [list(range(len(residues)))] + [
+        [code[x.scale(lam).coeffs] for x in residues] for lam in range(1, field.q)]
     lead = [x.coeffs[-1] if x.coeffs else 0 for x in residues]
 
     @lru_cache(maxsize=None)
@@ -375,18 +377,18 @@ def _residue_arithmetic(field: Fq, gen: Optional[Poly], uniform: bool):
             return (row[P], row[Q]) + ((0, one) if P else (one, 0))
         return tuple(row[x] for x in res)
 
-    return residues, code, lead, affine, canonical
+    return residues, code, affine, canonical
 
 
-def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
-                kind: str, m: int, mp: int) -> Dict[int, Counter]:
-    """Per-level tallies of the Euclid-tree nodes, node by node: the oracle
-    of _transfer_tallies.  A node's key holds what binning it needs: for
-    count the admissible mu and the blunt flag of _ideal_orbit (gen None is
-    the unit ideal), for joint the top m digits of s and r and the
+def _tree_block(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
+                mp: int) -> Dict[int, Counter]:
+    """Per-level tallies of the Euclid-tree nodes under the ideal (gen), node
+    by node: the oracle of _transfer_tallies.  A node's key holds what
+    binning it needs: for count the admissible mu and the blunt flag of
+    _ideal_orbit, for joint the top m digits of s and r and the
     solution-cell digits of r^-1/s before those, and for cfe, whose nodes
     need r in the ideal, the digits of r^-1/s and lead(Q_k)."""
-    every_mu = tuple(range(field.q))
+    field = gen.field
     tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
     # inv / s is reduced already: inv is a unit modulo the monic s
     for r, s, inv, lead in euclid_tree(field, n_max):
@@ -394,11 +396,11 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
         if n < n_lo:
             continue
         if kind == "cfe":
-            if gen is not None and not (r % gen).is_zero():
+            if not (r % gen).is_zero():
                 continue
             key = (RationalFn(inv, s, _reduced=True).expand(1, mp), lead)
         else:
-            key = (every_mu, True) if gen is None else _ideal_orbit(r, s, gen)
+            key = _ideal_orbit(r, s, gen)
             if kind == "joint":
                 key = (tuple(s.coeff(n - i) for i in range(m)),
                        tuple(r.coeff(n - i) for i in range(m)),
@@ -407,8 +409,8 @@ def _tree_block(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     return tallies
 
 
-def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
-                      kind: str, m: int, mp: int) -> Dict[int, Counter]:
+def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
+                      mp: int) -> Dict[int, Counter]:
     """The tallies of _tree_block, counted per (level, state) by the
     compiled transfer of the module docstring instead of node by node, and
     at level 0 the start node (0, 1), which the walk does not visit.  The
@@ -417,12 +419,13 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     windows are computed once per top; the residue is uniform over a class
     once a has deg gen free digits below its window (below its lead when
     w = 0).  A state's residues are kept in the form of _residue_arithmetic."""
+    field = gen.field
     q = field.q
     add, mul, neg, inv_t = field.add_t, field.mul_t, field.neg_t, field.inv_t
     w = {"joint": max(m, mp - 1), "cfe": max(1, mp - 1)}.get(kind, 0)
     wp = m if kind == "joint" else 0
     cap = w + 1
-    g = 0 if gen is None else gen.degree
+    g = gen.degree
     top = max(w, 1)
     d0 = max(w + 1, g + top - 1)
 
@@ -430,7 +433,7 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
         return d + 1 - top
 
     uniform = free(1) >= g  # then every degree's classes meet all residues
-    residues, code, lead, affine, canonical = _residue_arithmetic(field, gen, uniform)
+    residues, code, affine, canonical = _residue_arithmetic(gen, uniform)
 
     def classes(d: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
         """The quotients of degree d by their top w digits A: (A, [(a mod
@@ -444,7 +447,7 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                         out[A[:w]][rho] += each
         else:
             for a in polys_of_degree(field, d):
-                rho = 0 if gen is None else code[(a % gen).coeffs]
+                rho = code[(a % gen).coeffs]
                 out[tuple(a.coeff(d - j) for j in range(w))][rho] += 1
         return [(A, list(rhos.items())) for A, rhos in out.items()]
 
@@ -476,16 +479,13 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     def orbit(rp, rq):
         return _ideal_orbit(residues[rp], residues[rq], gen)
 
-    def count_key(res):
-        return (tuple(range(q)), True) if gen is None else orbit(*res[:2])
-
     def key_of(P, Q, _, Q_prev, gap, sign, res):
         """The node key of a state, or None for a cfe node outside the ideal."""
         if kind == "cfe":
-            if gen is not None and res[0]:
+            if res[0]:
                 return None
             return (head(Q, Q_prev, gap, sign), Q[0])
-        key = count_key(res)
+        key = orbit(*res[:2])
         if kind == "joint":
             unlead = mul[inv_t[Q[0]]]
             key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
@@ -496,10 +496,9 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
     # P_{-1} = 1 and Q_{-1} = 0 at gap 0, so that a first quotient a gives
     # P_1 = 1, Q_1 = a.  Its key is built here, since head() would read
     # digit mp - 1 of Q_{-1} at gap 0, past a window of width mp - 1.
-    one = (1,) + (0,) * w
-    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1],
-             (0, code[(1,)], code[(1,)], 0) if gen is not None else ())
-    start_key = None if kind == "cfe" else count_key(start[-1])
+    one, one_mod = (1,) + (0,) * w, code[(field.one % gen).coeffs]
+    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1], (0, one_mod, one_mod, 0))
+    start_key = None if kind == "cfe" else orbit(0, one_mod)
     if kind == "joint":
         start_key = (one[:m], (0,) * m, (0,) * (mp - 1)) + start_key
     # the compiled transfer: state ids, their states and keys, and the
@@ -514,23 +513,25 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
             keys.append(key_of(*state))
         return sid
 
+    @lru_cache(maxsize=None)
+    def advance(res):
+        """The residues after a quotient of residue rho, by rho:
+        (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen, canonical."""
+        P, Q, P_prev, Q_prev = res
+        return [canonical(affine(rho, P, P_prev), affine(rho, Q, Q_prev), P, Q)
+                for rho in range(len(residues))]
+
     def compile_step(sid, d):
         P, Q, P_prev, Q_prev, gap, sign, res = states[sid]
         # count keys read no sign
         shift, new_gap, flip = gap + d, min(d, cap), neg[sign] if w else sign
+        after = advance(res)
         out: Dict[int, int] = defaultdict(int)
         for A, rhos in by_degree[d]:
             P_new = window(A, P, P_prev, shift, wp)
             Q_new = window(A, Q, Q_prev, shift, w)
             for rho, mult in rhos:
-                # (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen
-                new_res = res and (affine(rho, res[0], res[2]),
-                                   affine(rho, res[1], res[3]), res[0], res[1])
-                # off the uniform side, residues led by a monic P_k (or Q_k)
-                # are canonical already
-                if res and (uniform or lead[new_res[0] or new_res[1]] != 1):
-                    new_res = canonical(*new_res)
-                out[intern((P_new, Q_new, P, Q, new_gap, flip, new_res))] += mult
+                out[intern((P_new, Q_new, P, Q, new_gap, flip, after[rho]))] += mult
         successors[(sid, d)] = edges = list(out.items())
         return edges
 
@@ -554,13 +555,6 @@ def _transfer_tallies(field: Fq, gen: Optional[Poly], n_lo: int, n_max: int,
                 for tid, mult in successors.get((sid, d)) or compile_step(sid, d):
                     nxt[tid] += count * mult
     return tallies
-
-
-def _level_tallies(cfg: RunConfig, field: Fq, I: Ideal, kind: str) -> Dict[int, Counter]:
-    """`kind` node tallies for levels n_min..n_max."""
-    gen = None if I.gen.is_one() else I.gen
-    return _transfer_tallies(field, gen, cfg.n_min, cfg.n_max, kind, cfg.depth_m,
-                             cfg.depth_mp)
 
 
 def _orbit_size(field: Fq, tally: Counter) -> int:
@@ -695,9 +689,8 @@ def _dump_points(field: Fq, I: Ideal, levels: Sequence[int], m: int,
     if skipped:
         warnings.append(f"dump limited to n <= 4; skipped levels {skipped}")
     rows = []
-    ideal = None if I.gen.is_one() else I
     for n in dumpable:
-        for v in primitive_vectors(field, n, ideal):
+        for v in primitive_vectors(field, n, I):
             w = companion_of(v)
             stat, _ = solution_statistic(v, w)
             rows.append((str(v.a), str(v.b), str(w.a), str(w.b), n,
@@ -713,7 +706,7 @@ def run_count(cfg: RunConfig) -> Report:
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
     main0 = counting_main_term(I, 0)  # times q^(2n) at level n
-    nodes = _level_tallies(cfg, field, I, "count")
+    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "count", cfg.depth_m, cfg.depth_mp)
     for n in levels:
         total = _orbit_size(field, nodes[n])
         main = main0 * cfg.q ** (2 * n)
@@ -747,7 +740,7 @@ def run_joint(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
-    nodes = _level_tallies(cfg, field, I, "joint")
+    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "joint", cfg.depth_m, cfg.depth_mp)
     hists = _bin_orbits(field, nodes, theta_ids, dp_ids)
     for n in levels:
         # the exception flag of solution_statistic fires on the sharp
@@ -786,7 +779,7 @@ def run_cfe(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {"prefactor": pref}
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     cells = [(dp,) for dp in dp_ids.values()]
-    nodes = _level_tallies(cfg, field, I, "cfe")
+    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "cfe", cfg.depth_m, cfg.depth_mp)
     for n in range(cfg.n_min, cfg.n_max + 1):
         hist = _bin_ratios(field, nodes[n], dp_ids)
         total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)

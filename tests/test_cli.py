@@ -92,6 +92,19 @@ class TestExitCodes:
                        f"line break {text[1]!r} at position 1\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("text,error", [
+        # Arabic-Indic one and superscript two: str.isdigit takes both, and
+        # int() would read the first as 1 and raise its own message on the second
+        ("Y+\u0661", "cannot read '+\u0661' at position 1: expected terms such as "
+                     "2*Y^3, Y or 1 joined by + or -"),
+        ("1,\u00b2", "coefficient '\u00b2' is not a base-2 digit string"),
+    ])
+    def test_ideal_non_ascii_digits_refused(self, capsys, text, error):
+        code, out, err = run(["count", "--q", "2", "--n-max", "1", "--ideal", text],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: bad ideal generator {text!r}: {error}\n"
+
     @pytest.mark.parametrize("text", ["Y + 1", "Y\t+1"])
     def test_ideal_spaces_and_tabs_accepted(self, capsys, text):
         code, out, _ = run(["count", "--q", "2", "--n-max", "2", "--ideal", text], capsys)
@@ -141,7 +154,7 @@ class TestExitCodes:
     def test_dump_cells_refused_before_any_work(self, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
         code, out, err = run(["count", "--dump", "--depth-m", "40",
                               "--depth-mp", "60"], capsys)
         assert code == 2 and out == ""
@@ -186,10 +199,29 @@ class TestExitCodes:
         assert err == (f"configuration error: modulus coefficient {digit} at "
                        "position 0 is not a digit 0..1 of GF(2)\n")
 
+    @pytest.mark.parametrize("text", ["\u0661,\u0661,\u0661", "1,1\n,1", "1,\u00b2,1",
+                                      "1,-1,1", "1,1_,1", "1,,1"])
+    def test_modulus_pieces_are_ascii_digits(self, capsys, text):
+        # int() reads Arabic-Indic digits and strips line breaks; neither
+        # runs as the modulus (1, 1, 1)
+        code, out, err = run(["count", "--q", "4", "--n-max", "1", "--modulus", text],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"configuration error: bad modulus {text!r}: expected "
+                       "comma-separated coefficient digits, constant first\n")
+
+    @pytest.mark.parametrize("text", ["1, 1, 1", " 1,1,\t1 "])
+    def test_modulus_spaces_and_tabs_accepted(self, capsys, text):
+        code, out, _ = run(["count", "--q", "4", "--n-max", "1", "--modulus", text],
+                           capsys)
+        _, plain, _ = run(["count", "--q", "4", "--n-max", "1", "--modulus", "1,1,1"],
+                          capsys)
+        assert code == 0 and out == plain
+
     def test_out_directory_missing(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(["count", "--out", str(target)], capsys)
         assert code == 2 and out == ""
@@ -200,7 +232,7 @@ class TestExitCodes:
     def test_out_names_no_file(self, capsys, monkeypatch, target):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
         code, out, err = run(["count", "--out", target], capsys)
         assert code == 2 and out == ""
         assert err == f"configuration error: output path {target!r} names no file\n"
@@ -208,7 +240,7 @@ class TestExitCodes:
     def test_out_names_directory(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._level_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
         for target in ("..", str(tmp_path), str(tmp_path) + os.sep):
             code, out, err = run(["count", "--out", target], capsys)
             assert code == 2 and out == ""

@@ -331,15 +331,14 @@ DP_GRID = [
 ]
 
 
-def _walk_from(walk, n_lo, field, g, kind, m, mp):
+def _walk_from(walk, n_lo, g, kind, m, mp):
     """The walk's tallies from level n_lo on.  Level 0 has no walk node: the
     DP must tally its start state, the node (r, s) = (0, 1) under the constant
     vectors, once under the key the walk would give it, and no cfe node,
     since 0 is no fraction of the open unit ball."""
     want = {n: t for n, t in walk.items() if n >= n_lo}
     if n_lo == 0:
-        key = (tuple(range(field.q)), True) if g is None else \
-            _ideal_orbit(field.zero, field.one, g)
+        key = _ideal_orbit(g.field.zero, g.field.one, g)
         if kind == "joint":
             key = ((1,) + (0,) * (m - 1), (0,) * m, (0,) * (mp - 1)) + key
         want[0] = Counter() if kind == "cfe" else Counter({key: 1})
@@ -352,12 +351,11 @@ def test_dp_tallies_match_walk(kind):
         field = get_field(q)
         for gen in gens:
             g = Ideal(poly_from_text(field, gen)).gen
-            g = None if g.is_one() else g
             for m, mp in depths if kind != "count" else depths[:1]:
-                walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+                walk = _tree_block(g, 1, n_max, kind, m, mp)
                 for n_lo in (0, 1, 2):
-                    dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
-                    assert dp == _walk_from(walk, n_lo, field, g, kind, m, mp), \
+                    dp = _transfer_tallies(g, n_lo, n_max, kind, m, mp)
+                    assert dp == _walk_from(walk, n_lo, g, kind, m, mp), \
                         (q, gen, m, mp, n_lo)
 
 
@@ -372,12 +370,11 @@ def test_gf2_block_tallies_match_generic(kind):
     n_max = 5
     for gen in GF2_IDEALS:
         g = Ideal(poly_from_text(field, gen)).gen
-        g = None if g.is_one() else g
         for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
-            walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+            walk = _tree_block(g, 1, n_max, kind, m, mp)
             for n_lo in (0, 1, 2):
-                dp = _transfer_tallies(field, g, n_lo, n_max, kind, m, mp)
-                assert dp == _walk_from(walk, n_lo, field, g, kind, m, mp), \
+                dp = _transfer_tallies(g, n_lo, n_max, kind, m, mp)
+                assert dp == _walk_from(walk, n_lo, g, kind, m, mp), \
                     (gen, m, mp, n_lo)
 
 
@@ -410,11 +407,10 @@ CARRY_GRID = [
 def test_dp_matches_walk_past_the_carry(kind, q, gen, n_max, m, mp):
     field = get_field(q)
     g = Ideal(poly_from_text(field, gen)).gen
-    g = None if g.is_one() else g
-    walk = _tree_block(field, g, 1, n_max, kind, m, mp)
+    walk = _tree_block(g, 1, n_max, kind, m, mp)
     for n_lo in (0, 1, 2):
-        assert _transfer_tallies(field, g, n_lo, n_max, kind, m, mp) == \
-            _walk_from(walk, n_lo, field, g, kind, m, mp), n_lo
+        assert _transfer_tallies(g, n_lo, n_max, kind, m, mp) == \
+            _walk_from(walk, n_lo, g, kind, m, mp), n_lo
 
 
 def _unimodular_quadruples(field, gen):
@@ -458,7 +454,7 @@ def test_canonical_residues_keep_one_state_per_class(q):
         scaled = {x.coeffs: x.scale(lam).coeffs
                   for x in polys_up_to_degree(field, gen.degree - 1)}
         for uniform in (False, True) if gen.degree == 1 else (False,):
-            residues, code, _, _, canonical = _residue_arithmetic(field, gen, uniform)
+            residues, code, _, canonical = _residue_arithmetic(gen, uniform)
             # quadruple -> its form, as coefficient tuples; every form is
             # itself a unimodular quadruple, so the table can look it up
             table = {tuple(x.coeffs for x in res):
@@ -478,11 +474,41 @@ def test_residue_affine_matches_poly_arithmetic(q):
     field = get_field(q)
     for text in CANONICAL_GENS[q]:
         gen = poly_from_text(field, text)
-        residues, _, _, affine, _ = _residue_arithmetic(field, gen, False)
+        residues, _, affine, _ = _residue_arithmetic(gen, False)
         for rho, r in enumerate(residues):
             for x, u in enumerate(residues):
                 for y, v in enumerate(residues):
                     assert residues[affine(rho, x, y)] == (r * u + v) % gen, (text, r, u, v)
+
+
+# q -> the unit ideal, Y, Y+1 and an ideal of degree 2
+ORBIT_GENS = {2: ("1", "Y", "Y+1", "Y^2+Y+1"), 3: ("1", "Y", "Y+1", "Y^2+1"),
+              4: ("1", "Y", "Y+1", "Y^2+Y+[10]")}
+
+
+@pytest.mark.parametrize("q", sorted(ORBIT_GENS))
+def test_ideal_orbit_matches_its_definition(q):
+    # over every coprime (r, s) with deg r < deg s <= 2: the sharp mu are
+    # those with mu*s + r in (gen), the blunt flag says r is in it; the unit
+    # ideal takes every mu
+    field = get_field(q)
+    for text in ORBIT_GENS[q]:
+        I = Ideal(poly_from_text(field, text))
+        for s in polys_up_to_degree(field, 2):
+            for r in polys_up_to_degree(field, s.degree - 1) if not s.is_zero() else ():
+                if is_coprime(r, s):
+                    mus = tuple(mu for mu in range(q) if I.contains(s.scale(mu) + r))
+                    assert _ideal_orbit(r, s, I.gen) == (mus, I.contains(r)), (text, r, s)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_unit_ideal_has_the_one_residue_zero(q):
+    field = get_field(q)
+    for uniform in (False, True):
+        residues, code, affine, canonical = _residue_arithmetic(field.one, uniform)
+        assert (residues, code) == ([field.zero], {(): 0})
+        assert affine(0, 0, 0) == 0
+        assert canonical(0, 0, 0, 0) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 60), (3, 30)])
@@ -490,7 +516,7 @@ def test_dp_deep_joint_totals(q, n_max):
     # (q - 1) q^(2n - 1) nodes at level n, each under (q - 1)(q + 1) vectors
     field = get_field(q)
     for m, mp in ((1, 2), (2, 3)):
-        tallies = _transfer_tallies(field, None, 1, n_max, "joint", m, mp)
+        tallies = _transfer_tallies(field.one, 1, n_max, "joint", m, mp)
         assert [_orbit_size(field, tallies[n]) for n in range(1, n_max + 1)] == \
             [(q * q - 1) * (q - 1) * q ** (2 * n - 1) for n in range(1, n_max + 1)]
 
@@ -518,8 +544,8 @@ def test_dp_compiles_each_step_once(q, gen, kind, m, mp):
     # a successor: the work in `window` is the same at 20 and at 40 levels
     field = get_field(q)
     g = poly_from_text(field, gen)
-    assert _nested_calls(field, g, 1, 20, kind, m, mp)["window"] == \
-        _nested_calls(field, g, 1, 40, kind, m, mp)["window"] > 0
+    assert _nested_calls(g, 1, 20, kind, m, mp)["window"] == \
+        _nested_calls(g, 1, 40, kind, m, mp)["window"] > 0
 
 
 @pytest.mark.parametrize("q", QS)
@@ -529,7 +555,9 @@ def test_count_compiles_one_state_per_point_of_p1(q):
     # once per state but the start
     field = get_field(q)
     for gen in (field.Y, poly_from_text(field, "Y+1")):
-        assert _nested_calls(field, gen, 1, 12, "count", 1, 2)["key_of"] == q + 1
+        assert _nested_calls(gen, 1, 12, "count", 1, 2)["key_of"] == q + 1
+    # the unit ideal's one residue leaves one state besides the start
+    assert _nested_calls(field.one, 1, 12, "count", 1, 2)["key_of"] == 1
 
 
 @st.composite
@@ -549,7 +577,7 @@ def dp_configs(draw):
 @given(dp_configs())
 def test_dp_matches_walk_on_random_configs(case):
     q, gen, n_lo, n_max, kind, m, mp = case
-    args = (get_field(q), None if gen.is_one() else gen, n_lo, n_max, kind, m, mp)
+    args = (gen, n_lo, n_max, kind, m, mp)
     assert _transfer_tallies(*args) == _tree_block(*args)
 
 
@@ -573,7 +601,7 @@ def test_dp_level_totals_beyond_the_walk():
         count = run_count(RunConfig(q=q, n_min=1, n_max=20, ideal="Y", guard=big))
         want = [(q - 1) ** 2 * (q ** (2 * n - 1) - 1) for n in range(1, 21)]
         assert [r["exact_count"] for r in _named(count)] == want
-        walk = _tree_block(get_field(q), get_field(q).Y, 1, 4, "count", 1, 2)
+        walk = _tree_block(get_field(q).Y, 1, 4, "count", 1, 2)
         assert [(q - 1) * sum(c * (len(mus) + blunt) for (mus, blunt), c in t.items())
                 for t in walk.values()] == want[:4]
     # Y -> Y - c maps the ideal Y+c onto (Y) and keeps every degree, so the

@@ -464,6 +464,14 @@ class TestTextForms:
         with pytest.raises(ValueError, match=re.escape(f"line break {where}")):
             poly_from_text(Fq(2), text)
 
+    @pytest.mark.parametrize("text", ["Y+\u0661", "\u0661", "1,\u00b2", "[\u0661\u0660]",
+                                      "Y^\u0662", "\uff11"])
+    def test_parse_reads_ascii_digits_only(self, text):
+        # str.isdigit and \d take these; int() reads all but the superscript
+        with pytest.raises(ValueError) as refusal:
+            poly_from_text(Fq(2), text)
+        assert "invalid literal" not in str(refusal.value)
+
     def test_parse_accepts_signs_spaces_and_brackets(self):
         F = Fq(3)
         assert poly_from_text(F, "-Y + 2") == F.poly((2, 2))
