@@ -55,11 +55,11 @@ def _parse_modulus(text: Optional[str]):
     if text is None:
         return None
     # ASCII digits with spaces or tabs around them: int() alone would also
-    # read other scripts' digits, a sign or a line break
+    # read other scripts' digits, a sign, a line break or a "_" between digits
     pieces = [piece.strip(" \t") for piece in text.split(",")]
     try:
-        if all(piece and set(piece) <= set("0123456789_") for piece in pieces):
-            return tuple(map(int, pieces))  # which refuses a misplaced "_"
+        if all(piece and set(piece) <= set("0123456789") for piece in pieces):
+            return tuple(map(int, pieces))  # which refuses a piece past its digit limit
     except ValueError:
         pass
     raise ConfigError(f"bad modulus {echo_text(text)}: expected comma-separated "

@@ -77,7 +77,7 @@ class Fq:
     """A small finite field GF(q) with table-based arithmetic on codes."""
 
     __slots__ = ("p", "d", "q", "modulus", "add_t", "mul_t", "neg_t", "inv_t",
-                 "_poly_cache")
+                 "zero", "one", "Y")
 
     def __init__(self, q: int, modulus: Optional[Sequence[int]] = None):
         p, d = _prime_power_split(q)
@@ -106,7 +106,7 @@ class Fq:
                 raise ValueError(f"modulus is reducible over GF({p})")
             self.modulus = modulus
             self._build_tables(m)
-        self._poly_cache = {}
+        self.zero, self.one, self.Y = Poly(self, ()), Poly(self, (1,)), Poly(self, (0, 1))
 
     def _build_tables(self, modulus: Optional["Poly"]) -> None:
         """Residues mod p, or for d > 1 polynomials over GF(p) mod the modulus."""
@@ -181,31 +181,11 @@ class Fq:
                 raise ValueError(f"coefficient {c} out of range for q={self.q}")
         return Poly(self, coeffs)
 
-    @property
-    def zero(self) -> "Poly":
-        return self._cached_poly(())
-
-    @property
-    def one(self) -> "Poly":
-        return self._cached_poly((1,))
-
-    @property
-    def Y(self) -> "Poly":
-        return self._cached_poly((0, 1))
-
     def const(self, c: int) -> "Poly":
         return self.poly((c,))
 
     def monomial(self, k: int, c: int = 1) -> "Poly":
         return self.poly((0,) * k + (c,))
-
-    def _cached_poly(self, coeffs: Tuple[int, ...]) -> "Poly":
-        try:
-            return self._poly_cache[coeffs]
-        except KeyError:
-            p = Poly(self, coeffs)
-            self._poly_cache[coeffs] = p
-            return p
 
     def __eq__(self, other):
         return (isinstance(other, Fq) and self.p == other.p and self.d == other.d

@@ -35,19 +35,21 @@ of the state.  w is max(m, mp - 1) for joint, max(1, mp - 1) for cfe
 (lead(Q_k) is in its key) and 0 for count.  The gap is capped at w + 1, not
 w: a gap of exactly mp - 1 = w still puts a nonzero digit at depth mp - 1,
 so only gaps beyond w behave alike.  The transfer does not depend on the
-level, so it is compiled once: a state becomes an int, with its key, when
-first reached, and its successors are built once per quotient degree
-d <= d0 = max(w + 1, deg gen + max(w, 1) - 1).  From d0 on the gap is
+level, so a run compiles it, then sweeps it.  The compile makes a Transfer
+value: a state becomes an int, with its key, at the first level L that
+reaches it, and then gets its successors once per quotient degree
+d <= min(d0, n_max - L), d0 = max(w + 1, deg gen + max(w, 1) - 1); a state
+first reached at n_max gets a key and no successors.  From d0 on the gap is
 capped, the windows miss Q_{k-1} and the residue is uniform over each class,
 so a degree d >= d0 leads to the successors of d0, q^(d - d0) times as
-often; those arrivals go into a carry, carry[L] = q carry[L - 1] +
-(arrivals from degree d0 at L).  A run costs one compile of states x
-classes x d0, then levels x successor edges.  `_tree_block`, the walk of
-`lattice.euclid_tree` node by node, is the DP's oracle in the tests.  The
-DP's start state (P_0, Q_0) = (0, 1) is the level-0 node, whose orbit is
-the q^2 - 1 constant vectors: the sharp (lambda, mu) and the blunt
-(0, lambda), all of statistic 0.  It has no cfe key, since 0 is no fraction
-of the open unit ball.
+often; the sweep, which reads that value alone, puts those arrivals into a
+carry, carry[L] = q carry[L - 1] + (arrivals from degree d0 at L).  A run
+costs one compile of states x classes x d0, then levels x successor edges.
+`_tree_block`, the walk of `lattice.euclid_tree` node by node, is the DP's
+oracle in the tests.  The start state (P_0, Q_0) = (0, 1) is the level-0
+node, whose orbit is the q^2 - 1 constant vectors: the sharp (lambda, mu)
+and the blunt (0, lambda), all of statistic 0.  It has no cfe key, since 0
+is no fraction of the open unit ball.
 The level loops repeat no run-wide work: main terms are per-run constants
 times q^(2n), a joint key's orbit cells are found once per run, and cell
 statistics are integers over one denominator per level until printed.
@@ -409,16 +411,24 @@ def _tree_block(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
     return tallies
 
 
-def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
-                      mp: int) -> Dict[int, Counter]:
-    """The tallies of _tree_block, counted per (level, state) by the
-    compiled transfer of the module docstring instead of node by node, and
-    at level 0 the start node (0, 1), which the walk does not visit.  The
-    quotients a of degree d act in classes (top w digits, a mod gen) with a
-    multiplicity each, grouped by their top digits, so that a successor's
-    windows are computed once per top; the residue is uniform over a class
-    once a has deg gen free digits below its window (below its lead when
-    w = 0).  A state's residues are kept in the form of _residue_arithmetic."""
+class Transfer(NamedTuple):
+    """The compiled transfer: node keys by state id, the start 0 first, and
+    successors[sid][d - 1], the [(target id, multiplicity)] of degree d."""
+    q: int
+    d0: int
+    n_max: int
+    keys: List[Optional[tuple]]
+    successors: List[Tuple[List[Tuple[int, int]], ...]]
+
+
+def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Transfer:
+    """The transfer of the module docstring, compiled for levels up to n_max
+    under the ideal (gen).  The quotients a of degree d act in classes (top
+    w digits, a mod gen) with a multiplicity each, grouped by their top
+    digits, so that a successor's windows are computed once per top; the
+    residue is uniform over a class once a has deg gen free digits below
+    its window (below its lead when w = 0).  A state's residues are kept in
+    the form of _residue_arithmetic."""
     field = gen.field
     q = field.q
     add, mul, neg, inv_t = field.add_t, field.mul_t, field.neg_t, field.inv_t
@@ -464,7 +474,9 @@ def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
 
     def head(Q, Q_prev, gap, sign):
         """Digits 1..mp-1 of r^-1/s = sign lead^2 Q_{k-1}/Q_k: the series
-        Q_prev/Q, scaled, from digit `gap` on."""
+        Q_prev/Q, scaled, from digit `gap` on.  The start's gap 0 reads as
+        1: its Q_{-1} is 0, so only zeros follow."""
+        gap = gap or 1
         lead = Q[0]
         unlead, scale = inv_t[lead], mul[sign][mul[lead][lead]]
         c: List[int] = []
@@ -480,9 +492,10 @@ def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
         return _ideal_orbit(residues[rp], residues[rq], gen)
 
     def key_of(P, Q, _, Q_prev, gap, sign, res):
-        """The node key of a state, or None for a cfe node outside the ideal."""
+        """The node key of a state, or None for a cfe node outside the ideal
+        and for the start (gap 0), since 0 is no fraction of the unit ball."""
         if kind == "cfe":
-            if res[0]:
+            if res[0] or not gap:
                 return None
             return (head(Q, Q_prev, gap, sign), Q[0])
         key = orbit(*res[:2])
@@ -492,27 +505,6 @@ def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
                    head(Q, Q_prev, gap, sign)) + key
         return key
 
-    # k = 0, state 0 and the level-0 node (0, 1): P_0 = 0 and Q_0 = 1, with
-    # P_{-1} = 1 and Q_{-1} = 0 at gap 0, so that a first quotient a gives
-    # P_1 = 1, Q_1 = a.  Its key is built here, since head() would read
-    # digit mp - 1 of Q_{-1} at gap 0, past a window of width mp - 1.
-    one, one_mod = (1,) + (0,) * w, code[(field.one % gen).coeffs]
-    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1], (0, one_mod, one_mod, 0))
-    start_key = None if kind == "cfe" else orbit(0, one_mod)
-    if kind == "joint":
-        start_key = (one[:m], (0,) * m, (0,) * (mp - 1)) + start_key
-    # the compiled transfer: state ids, their states and keys, and the
-    # successors [(target id, multiplicity)] by (state id, degree d <= d0)
-    ids, states, keys = {start: 0}, [start], [start_key]
-    successors: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-
-    def intern(state):
-        sid = ids.setdefault(state, len(states))
-        if sid == len(states):
-            states.append(state)
-            keys.append(key_of(*state))
-        return sid
-
     @lru_cache(maxsize=None)
     def advance(res):
         """The residues after a quotient of residue rho, by rho:
@@ -521,21 +513,47 @@ def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
         return [canonical(affine(rho, P, P_prev), affine(rho, Q, Q_prev), P, Q)
                 for rho in range(len(residues))]
 
-    def compile_step(sid, d):
-        P, Q, P_prev, Q_prev, gap, sign, res = states[sid]
-        # count keys read no sign
-        shift, new_gap, flip = gap + d, min(d, cap), neg[sign] if w else sign
-        after = advance(res)
-        out: Dict[int, int] = defaultdict(int)
-        for A, rhos in by_degree[d]:
-            P_new = window(A, P, P_prev, shift, wp)
-            Q_new = window(A, Q, Q_prev, shift, w)
-            for rho, mult in rhos:
-                out[intern((P_new, Q_new, P, Q, new_gap, flip, after[rho]))] += mult
-        successors[(sid, d)] = edges = list(out.items())
-        return edges
-
+    # state 0, the level-0 node (0, 1): P_0 = 0 and Q_0 = 1, with P_{-1} = 1
+    # and Q_{-1} = 0 at gap 0, so that a first quotient a gives P_1 = 1, Q_1 = a
+    one, one_mod = (1,) + (0,) * w, code[(field.one % gen).coeffs]
+    start = ((0,) * wp, one[:w], one[:wp], (0,) * w, 0, neg[1], (0, one_mod, one_mod, 0))
+    ids, keys, successors = {start: 0}, [key_of(*start)], [()]
+    # a state is compiled once, from the first level that reaches it; one first
+    # reached at n_max is never queued and keeps the shared (): a list each slows GC
+    first, pending = [0], [[(0, start)]] + [[] for _ in range(n_max - 1)]
     by_degree = [()] + [classes(d) for d in range(1, min(d0, n_max) + 1)]
+    for D in range(n_max):
+        for sid, (P, Q, P_prev, Q_prev, gap, sign, res) in pending[D]:
+            if first[sid] < D:  # compiled already, from a lower level
+                continue
+            flip, after = neg[sign] if w else sign, advance(res)  # count keys read no sign
+            for d in range(1, min(d0, n_max - D) + 1):
+                L, shift, new_gap = D + d, gap + d, min(d, cap)
+                out: Dict[int, int] = defaultdict(int)
+                for A, rhos in by_degree[d]:
+                    P_new = window(A, P, P_prev, shift, wp)
+                    Q_new = window(A, Q, Q_prev, shift, w)
+                    for rho, mult in rhos:
+                        state = (P_new, Q_new, P, Q, new_gap, flip, after[rho])
+                        tid = ids.get(state)
+                        if tid is None:
+                            tid = ids[state] = len(keys)
+                            keys.append(key_of(*state))
+                            successors.append(())
+                            first.append(n_max)
+                        if L < first[tid]:
+                            first[tid] = L
+                            pending[L].append((tid, state))
+                        out[tid] += mult
+                successors[sid] += (list(out.items()),)
+    return Transfer(q, d0, n_max, keys, successors)
+
+
+def _transfer_tallies(transfer: Transfer, n_lo: int) -> Dict[int, Counter]:
+    """The tallies of _tree_block, counted per (level, state) by sweeping
+    the compiled transfer over its levels, and at level 0 the start node
+    (0, 1), which the walk does not visit."""
+    q, d0, n_max, keys, successors = transfer
     levels: List[Dict[int, int]] = [defaultdict(int) for _ in range(n_max + 1)]
     levels[0][0] = 1
     # carry[L]: arrivals at L from degrees >= d0, q carry[L-1] + those from d0
@@ -550,9 +568,9 @@ def _transfer_tallies(gen: Poly, n_lo: int, n_max: int, kind: str, m: int,
         for sid, count in levels[D].items():
             if D >= n_lo and keys[sid] is not None:
                 tallies[D][keys[sid]] += count
-            for d in range(1, min(d0, n_max - D) + 1):
+            for d, edges in enumerate(successors[sid][:n_max - D], 1):
                 nxt = levels[D + d] if d < d0 else carry[D + d]
-                for tid, mult in successors.get((sid, d)) or compile_step(sid, d):
+                for tid, mult in edges:
                     nxt[tid] += count * mult
     return tallies
 
@@ -706,7 +724,8 @@ def run_count(cfg: RunConfig) -> Report:
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     rels: List[Fraction] = []
     main0 = counting_main_term(I, 0)  # times q^(2n) at level n
-    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "count", cfg.depth_m, cfg.depth_mp)
+    nodes = _transfer_tallies(
+        _compile_transfer(I.gen, "count", cfg.depth_m, cfg.depth_mp, cfg.n_max), cfg.n_min)
     for n in levels:
         total = _orbit_size(field, nodes[n])
         main = main0 * cfg.q ** (2 * n)
@@ -740,7 +759,7 @@ def run_joint(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {}
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
-    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "joint", cfg.depth_m, cfg.depth_mp)
+    nodes = _transfer_tallies(_compile_transfer(I.gen, "joint", m, mp, cfg.n_max), cfg.n_min)
     hists = _bin_orbits(field, nodes, theta_ids, dp_ids)
     for n in levels:
         # the exception flag of solution_statistic fires on the sharp
@@ -779,7 +798,8 @@ def run_cfe(cfg: RunConfig) -> Report:
     summary: Dict[str, object] = {"prefactor": pref}
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     cells = [(dp,) for dp in dp_ids.values()]
-    nodes = _transfer_tallies(I.gen, cfg.n_min, cfg.n_max, "cfe", cfg.depth_m, cfg.depth_mp)
+    nodes = _transfer_tallies(
+        _compile_transfer(I.gen, "cfe", cfg.depth_m, mp, cfg.n_max), cfg.n_min)
     for n in range(cfg.n_min, cfg.n_max + 1):
         hist = _bin_ratios(field, nodes[n], dp_ids)
         total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)

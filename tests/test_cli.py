@@ -154,7 +154,7 @@ class TestExitCodes:
     def test_dump_cells_refused_before_any_work(self, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
         code, out, err = run(["count", "--dump", "--depth-m", "40",
                               "--depth-mp", "60"], capsys)
         assert code == 2 and out == ""
@@ -191,19 +191,19 @@ class TestExitCodes:
         assert err == ("configuration error: bad modulus '': expected "
                        "comma-separated coefficient digits, constant first\n")
 
-    @pytest.mark.parametrize("text,digit", [("3,3,1", 3), ("1_0,1,1", 10)])
+    @pytest.mark.parametrize("text,digit", [("3,3,1", 3)])
     def test_modulus_digits_not_reduced_mod_p(self, capsys, text, digit):
-        # 3,3,1 is not T^2+T+1 read mod 2, and 1_0 is not 0
+        # 3,3,1 is not T^2+T+1 read mod 2
         code, out, err = run(["count", "--q", "4", "--modulus", text], capsys)
         assert code == 2 and out == ""
         assert err == (f"configuration error: modulus coefficient {digit} at "
                        "position 0 is not a digit 0..1 of GF(2)\n")
 
     @pytest.mark.parametrize("text", ["\u0661,\u0661,\u0661", "1,1\n,1", "1,\u00b2,1",
-                                      "1,-1,1", "1,1_,1", "1,,1"])
+                                      "1,-1,1", "1,1_,1", "1,,1", "1_0,1,1", "1,0_1,1"])
     def test_modulus_pieces_are_ascii_digits(self, capsys, text):
-        # int() reads Arabic-Indic digits and strips line breaks; neither
-        # runs as the modulus (1, 1, 1)
+        # int() reads Arabic-Indic digits, strips line breaks and skips a "_"
+        # between digits; none of them runs as the modulus (1, 1, 1)
         code, out, err = run(["count", "--q", "4", "--n-max", "1", "--modulus", text],
                              capsys)
         assert (code, out) == (2, "")
@@ -221,7 +221,7 @@ class TestExitCodes:
     def test_out_directory_missing(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(["count", "--out", str(target)], capsys)
         assert code == 2 and out == ""
@@ -232,7 +232,7 @@ class TestExitCodes:
     def test_out_names_no_file(self, capsys, monkeypatch, target):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
         code, out, err = run(["count", "--out", target], capsys)
         assert code == 2 and out == ""
         assert err == f"configuration error: output path {target!r} names no file\n"
@@ -240,7 +240,7 @@ class TestExitCodes:
     def test_out_names_directory(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
-        monkeypatch.setattr("fqlattice.harness._transfer_tallies", no_work)
+        monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
         for target in ("..", str(tmp_path), str(tmp_path) + os.sep):
             code, out, err = run(["count", "--out", target], capsys)
             assert code == 2 and out == ""

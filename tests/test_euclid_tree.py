@@ -12,7 +12,6 @@ the DP's start node (0, 1), is checked against the scan of the constant
 vectors.
 """
 
-import sys
 from collections import Counter
 
 import pytest
@@ -21,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _ideal_orbit, _orbit_size,
-                               _residue_arithmetic, _transfer_tallies, _tree_block,
-                               run_cfe, run_count, run_joint)
+from fqlattice.harness import (RunConfig, _bin_ratios, _compile_transfer, _ideal_orbit,
+                               _orbit_size, _residue_arithmetic, _transfer_tallies,
+                               _tree_block, run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
                                solution_statistic, sphere_cells)
@@ -331,6 +330,11 @@ DP_GRID = [
 ]
 
 
+def _dp(g, n_lo, n_max, kind, m, mp):
+    """The DP's tallies, called as _tree_block is: compile, then sweep."""
+    return _transfer_tallies(_compile_transfer(g, kind, m, mp, n_max), n_lo)
+
+
 def _walk_from(walk, n_lo, g, kind, m, mp):
     """The walk's tallies from level n_lo on.  Level 0 has no walk node: the
     DP must tally its start state, the node (r, s) = (0, 1) under the constant
@@ -354,7 +358,7 @@ def test_dp_tallies_match_walk(kind):
             for m, mp in depths if kind != "count" else depths[:1]:
                 walk = _tree_block(g, 1, n_max, kind, m, mp)
                 for n_lo in (0, 1, 2):
-                    dp = _transfer_tallies(g, n_lo, n_max, kind, m, mp)
+                    dp = _dp(g, n_lo, n_max, kind, m, mp)
                     assert dp == _walk_from(walk, n_lo, g, kind, m, mp), \
                         (q, gen, m, mp, n_lo)
 
@@ -373,7 +377,7 @@ def test_gf2_block_tallies_match_generic(kind):
         for m, mp in ((1, 1), (1, 2), (2, 3), (3, 4)):
             walk = _tree_block(g, 1, n_max, kind, m, mp)
             for n_lo in (0, 1, 2):
-                dp = _transfer_tallies(g, n_lo, n_max, kind, m, mp)
+                dp = _dp(g, n_lo, n_max, kind, m, mp)
                 assert dp == _walk_from(walk, n_lo, g, kind, m, mp), \
                     (gen, m, mp, n_lo)
 
@@ -409,7 +413,7 @@ def test_dp_matches_walk_past_the_carry(kind, q, gen, n_max, m, mp):
     g = Ideal(poly_from_text(field, gen)).gen
     walk = _tree_block(g, 1, n_max, kind, m, mp)
     for n_lo in (0, 1, 2):
-        assert _transfer_tallies(g, n_lo, n_max, kind, m, mp) == \
+        assert _dp(g, n_lo, n_max, kind, m, mp) == \
             _walk_from(walk, n_lo, g, kind, m, mp), n_lo
 
 
@@ -516,48 +520,31 @@ def test_dp_deep_joint_totals(q, n_max):
     # (q - 1) q^(2n - 1) nodes at level n, each under (q - 1)(q + 1) vectors
     field = get_field(q)
     for m, mp in ((1, 2), (2, 3)):
-        tallies = _transfer_tallies(field.one, 1, n_max, "joint", m, mp)
+        tallies = _dp(field.one, 1, n_max, "joint", m, mp)
         assert [_orbit_size(field, tallies[n]) for n in range(1, n_max + 1)] == \
             [(q * q - 1) * (q - 1) * q ** (2 * n - 1) for n in range(1, n_max + 1)]
-
-
-def _nested_calls(*args):
-    """Calls of the DP's nested functions by name, counted from outside."""
-    calls = Counter()
-
-    def trace(frame, event, arg):
-        calls[frame.f_code.co_name] += 1
-
-    outer = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        _transfer_tallies(*args)
-    finally:
-        sys.settrace(outer)
-    return calls
 
 
 @pytest.mark.parametrize("q,gen,kind,m,mp", [(2, "Y+1", "joint", 2, 3),
                                              (2, "Y^2+Y+1", "count", 1, 2)])
 def test_dp_compiles_each_step_once(q, gen, kind, m, mp):
-    # the state count stops growing by level 10, so past it no level builds
-    # a successor: the work in `window` is the same at 20 and at 40 levels
-    field = get_field(q)
-    g = poly_from_text(field, gen)
-    assert _nested_calls(g, 1, 20, kind, m, mp)["window"] == \
-        _nested_calls(g, 1, 40, kind, m, mp)["window"] > 0
+    # the state count stops growing by level 10, so past it no level adds a
+    # state or a successor: the transfers for 20 and 40 levels are the same
+    g = poly_from_text(get_field(q), gen)
+    short, long = (_compile_transfer(g, kind, m, mp, n_max) for n_max in (20, 40))
+    assert (short.keys, short.successors) == (long.keys, long.successors)
+    assert len(short.keys) > 1 and all(short.successors)
 
 
 @pytest.mark.parametrize("q", QS)
 def test_count_compiles_one_state_per_point_of_p1(q):
     # with a degree-1 ideal a count state is the point (P_k : Q_k) of P^1,
-    # so the transfer holds q + 1 states besides the start; `key_of` runs
-    # once per state but the start
+    # so the transfer holds q + 1 states besides the start
     field = get_field(q)
     for gen in (field.Y, poly_from_text(field, "Y+1")):
-        assert _nested_calls(gen, 1, 12, "count", 1, 2)["key_of"] == q + 1
+        assert len(_compile_transfer(gen, "count", 1, 2, 12).keys) == q + 2
     # the unit ideal's one residue leaves one state besides the start
-    assert _nested_calls(field.one, 1, 12, "count", 1, 2)["key_of"] == 1
+    assert len(_compile_transfer(field.one, "count", 1, 2, 12).keys) == 2
 
 
 @st.composite
@@ -578,7 +565,7 @@ def dp_configs(draw):
 def test_dp_matches_walk_on_random_configs(case):
     q, gen, n_lo, n_max, kind, m, mp = case
     args = (gen, n_lo, n_max, kind, m, mp)
-    assert _transfer_tallies(*args) == _tree_block(*args)
+    assert _dp(*args) == _tree_block(*args)
 
 
 def test_dp_level_totals_beyond_the_walk():
