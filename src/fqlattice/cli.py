@@ -11,6 +11,7 @@ end's, not the run's: it checks `--out` first and times the runner itself.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import time
@@ -130,10 +131,10 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
     return _parse_plain(argv) or build_parser().parse_args(argv, SimpleNamespace())
 
 
-def _check_out(out: Optional[str]) -> None:
-    """Refuse an `--out` naming no file, a directory, or a file in a missing one."""
+def _check_out(out: Optional[str]) -> Optional[Path]:
+    """The `--out` path, refused if it names no file, a directory, or a file in a missing one."""
     if out is None:
-        return
+        return None
     path = Path(out)
     if not path.name:
         raise ConfigError(f"output path {echo_text(out)} names no file")
@@ -141,6 +142,7 @@ def _check_out(out: Optional[str]) -> None:
         raise ConfigError(f"output path {echo_text(out)} is a directory")
     if not os.path.isdir(path.parent):
         raise ConfigError(f"output directory {echo_text(str(path.parent))} does not exist")
+    return path
 
 
 def config_from_args(args: SimpleNamespace) -> RunConfig:
@@ -156,15 +158,14 @@ def config_from_args(args: SimpleNamespace) -> RunConfig:
         dump=args.dump, guard=args.guard, cell_floor=args.cell_floor)
 
 
-def _write_output(report: Report, fmt: str, out: Optional[str]) -> None:
-    """The report to stdout or `out`; CSV points after it or in their own file."""
+def _write_output(report: Report, fmt: str, path: Optional[Path]) -> None:
+    """The report to stdout or `path`; CSV points after it or in their own file."""
     points = to_points_csv(report) if report.points is not None and fmt == "csv" else None
-    if out is None:
+    if path is None:
         render_report(report, fmt, sys.stdout)
         if points is not None:
             sys.stdout.write("# points\n" + points)
         return
-    path = Path(out)
     with path.open("w") as stream:
         render_report(report, fmt, stream)
     print(f"wrote {path}", file=sys.stderr)
@@ -175,9 +176,20 @@ def _write_output(report: Report, fmt: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # a run makes no reference cycles: the collector would only rescan its tables
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     args = parse_args(argv)
     try:
-        _check_out(args.out)
+        path = _check_out(args.out)
         cfg = config_from_args(args)
         t0 = time.perf_counter()
         report = RUNNERS[cfg.experiment](cfg)
@@ -188,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     try:
-        _write_output(report, args.fmt, args.out)
+        _write_output(report, args.fmt, path)
     except OSError as e:
         print(f"cannot write report: {e}", file=sys.stderr)
         return 2

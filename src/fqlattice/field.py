@@ -71,6 +71,7 @@ _BUILTIN_MODULI = {
     8: (1, 1, 0, 1),   # T^3 + T + 1 over GF(2)
     9: (1, 0, 1),      # T^2 + 1 over GF(3)
 }
+_FIELDS: Dict[Tuple[int, Optional[Tuple[int, ...]]], Fq] = {}  # get_field's, one per field
 
 
 class Fq:
@@ -212,10 +213,12 @@ def _prime_power_split(q: int) -> Tuple[int, int]:
     return p, d
 
 
-@lru_cache(maxsize=None)
 def get_field(q: int, modulus: Optional[Tuple[int, ...]] = None) -> Fq:
-    """Shared Fq instances so polynomials from the same q compare cheaply."""
-    return Fq(q, modulus)
+    """The one shared Fq of a field; no modulus names the built-in one."""
+    key = (q, _BUILTIN_MODULI.get(q) if modulus is None else tuple(modulus))
+    if key not in _FIELDS:
+        _FIELDS[key] = Fq(q, modulus)
+    return _FIELDS[key]
 
 
 class Poly:

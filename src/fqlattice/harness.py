@@ -61,11 +61,9 @@ echo every RunConfig field and no run reads a clock or a file.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
@@ -238,6 +236,7 @@ def _fraction_json(v):
 def to_json(report: Report, stream: TextIO) -> None:
     """json.dump of the report into `stream`, chunk by chunk: rows and points
     as dicts of their column names, Fractions through _fraction_json."""
+    import json  # here, so that a CSV run does not load it
     payload = {
         "schema_version": SCHEMA_VERSION,
         "build": build_id(),
@@ -275,13 +274,10 @@ def _csv_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     Each cell object is formatted once, keyed by id(): report rows share and
     keep them alive."""
     texts: Dict[int, str] = {}
+    get, put = texts.get, texts.setdefault
     lines = [",".join(map(_csv_field, columns))]
     for values in rows:
-        try:
-            lines.append(",".join(map(texts.__getitem__, map(id, values))))
-        except KeyError:
-            texts.update((id(v), _csv_field(v)) for v in values if id(v) not in texts)
-            lines.append(",".join(map(texts.__getitem__, map(id, values))))
+        lines.append(",".join([get(id(v)) or put(id(v), _csv_field(v)) for v in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -336,43 +332,49 @@ def _ideal_orbit(r: Poly, s: Poly, gen: Poly) -> Tuple[Tuple[int, ...], bool]:
     return ((mu,) if (sg.scale(mu) + rg).is_zero() else ()), False
 
 
+class _Memo(dict):
+    """A memo: a dict that fills a missing key with `fill(key)`."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _residue_arithmetic(gen: Poly, uniform: bool):
     """The residues mod gen as ints, the unit ideal having the one residue 0:
     their index in `residues`, found by `code` of their coefficients.
     Returns those two, affine(rho, x, y) = rho*x + y mod gen, and
-    canonical(P_k, Q_k, P_{k-1}, Q_{k-1}): a DP state's residues in the form
-    its keys and successors read.  That form divides them by the lead of the
-    first nonzero of (P_k, Q_k), since no key sees a common scalar and the
-    recurrence commutes with one; mod (1) it is (0, 0, 0, 0).  When every
-    quotient degree meets all residues alike (`uniform`, so deg gen <= 1),
-    rho*v_k + c runs over P^1 minus [v_k] for any c off the line of v_k, so
-    (P_{k-1}, Q_{k-1}) becomes the complement (0, 1), or (1, 0) when P_k = 0.
-    Both functions read tables: the rows of rho*x and of u + y, built on
+    canonical[(P_k, Q_k, P_{k-1}, Q_{k-1})]: a DP state's residues in the
+    form its keys and successors read.  That form divides them by the lead
+    of the first nonzero of (P_k, Q_k), since no key sees a common scalar
+    and the recurrence commutes with one; mod (1) it is (0, 0, 0, 0).  When
+    every quotient degree meets all residues alike (`uniform`, so deg gen
+    <= 1), rho*v_k + c runs over P^1 minus [v_k] for any c off the line of
+    v_k, so (P_{k-1}, Q_{k-1}) becomes the complement (0, 1), or (1, 0) when
+    P_k = 0.  Both read tables: the rows of rho*x and of u + y, built on
     first use, and a scaling row per lambda in F_q^*, built once, with the
     identity row at lead 0 for the residue 0."""
     field = gen.field
     residues = list(polys_up_to_degree(field, gen.degree - 1))
     code = {p.coeffs: i for i, p in enumerate(residues)}
     one = code[(field.one % gen).coeffs]
-
-    @lru_cache(maxsize=None)
-    def times(rho):
-        r = residues[rho]
-        return [code[(r * x % gen).coeffs] for x in residues]
-
-    @lru_cache(maxsize=None)
-    def plus(u):
-        return [code[(residues[u] + y).coeffs] for y in residues]
+    times = _Memo(lambda rho: [code[(residues[rho] * x % gen).coeffs] for x in residues])
+    plus = _Memo(lambda u: [code[(residues[u] + y).coeffs] for y in residues])
 
     def affine(rho, x, y):
-        return plus(times(rho)[x])[y]
+        return plus[times[rho][x]][y]
 
     scaled = [list(range(len(residues)))] + [
         [code[x.scale(lam).coeffs] for x in residues] for lam in range(1, field.q)]
     lead = [x.coeffs[-1] if x.coeffs else 0 for x in residues]
 
-    @lru_cache(maxsize=None)
-    def canonical(*res):
+    @_Memo
+    def canonical(res):
         P, Q = res[:2]
         row = scaled[field.inv_t[lead[P or Q]]]
         if uniform:
@@ -448,17 +450,15 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
     def classes(d: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
         """The quotients of degree d by their top w digits A: (A, [(a mod
         gen, multiplicity)])."""
-        out: Dict[Tuple[int, ...], Counter] = defaultdict(Counter)
-        if free(d) >= g:
-            each = q ** (free(d) - g)
-            for A in itertools.product(range(q), repeat=top):
-                if A[0]:
-                    for rho in range(len(residues)):
-                        out[A[:w]][rho] += each
-        else:
-            for a in polys_of_degree(field, d):
-                rho = code[(a % gen).coeffs]
-                out[tuple(a.coeff(d - j) for j in range(w))][rho] += 1
+        if free(d) >= g:  # each A meets each residue q^(free - g) times per top
+            each = q ** (free(d) - g) * (q - 1 if top > w else 1)
+            rhos = [(rho, each) for rho in range(len(residues))]
+            return [(A, rhos) for A in itertools.product(range(q), repeat=w) if A[:1] != (0,)]
+        out: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for a in polys_of_degree(field, d):
+            rhos = out.setdefault(tuple(a.coeff(d - j) for j in range(w)), {})
+            rho = code[(a % gen).coeffs]
+            rhos[rho] = rhos.get(rho, 0) + 1
         return [(A, list(rhos.items())) for A, rhos in out.items()]
 
     def window(A, W, W_prev, shift, width):
@@ -487,9 +487,7 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
             c.append(mul[x][unlead])
         return (0,) * min(gap - 1, mp - 1) + tuple(mul[scale][x] for x in c)
 
-    @lru_cache(maxsize=None)
-    def orbit(rp, rq):
-        return _ideal_orbit(residues[rp], residues[rq], gen)
+    orbit = _Memo(lambda rpq: _ideal_orbit(residues[rpq[0]], residues[rpq[1]], gen))
 
     def key_of(P, Q, _, Q_prev, gap, sign, res):
         """The node key of a state, or None for a cfe node outside the ideal
@@ -498,19 +496,19 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
             if res[0] or not gap:
                 return None
             return (head(Q, Q_prev, gap, sign), Q[0])
-        key = orbit(*res[:2])
+        key = orbit[res[:2]]
         if kind == "joint":
             unlead = mul[inv_t[Q[0]]]
             key = (tuple(unlead[x] for x in Q[:m]), tuple(unlead[x] for x in P),
                    head(Q, Q_prev, gap, sign)) + key
         return key
 
-    @lru_cache(maxsize=None)
+    @_Memo
     def advance(res):
         """The residues after a quotient of residue rho, by rho:
         (rho*P_k + P_{k-1}, rho*Q_k + Q_{k-1}, P_k, Q_k) mod gen, canonical."""
         P, Q, P_prev, Q_prev = res
-        return [canonical(affine(rho, P, P_prev), affine(rho, Q, Q_prev), P, Q)
+        return [canonical[(affine(rho, P, P_prev), affine(rho, Q, Q_prev), P, Q)]
                 for rho in range(len(residues))]
 
     # state 0, the level-0 node (0, 1): P_0 = 0 and Q_0 = 1, with P_{-1} = 1
@@ -526,7 +524,7 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
         for sid, (P, Q, P_prev, Q_prev, gap, sign, res) in pending[D]:
             if first[sid] < D:  # compiled already, from a lower level
                 continue
-            flip, after = neg[sign] if w else sign, advance(res)  # count keys read no sign
+            flip, after = neg[sign] if w else sign, advance[res]  # count keys read no sign
             for d in range(1, min(d0, n_max - D) + 1):
                 L, shift, new_gap = D + d, gap + d, min(d, cap)
                 out: Dict[int, int] = defaultdict(int)
@@ -549,7 +547,7 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
     return Transfer(q, d0, n_max, keys, successors)
 
 
-def _transfer_tallies(transfer: Transfer, n_lo: int) -> Dict[int, Counter]:
+def _transfer_tallies(transfer: Transfer, n_lo: int) -> Dict[int, Dict[tuple, int]]:
     """The tallies of _tree_block, counted per (level, state) by sweeping
     the compiled transfer over its levels, and at level 0 the start node
     (0, 1), which the walk does not visit."""
@@ -558,7 +556,7 @@ def _transfer_tallies(transfer: Transfer, n_lo: int) -> Dict[int, Counter]:
     levels[0][0] = 1
     # carry[L]: arrivals at L from degrees >= d0, q carry[L-1] + those from d0
     carry: List[Dict[int, int]] = [defaultdict(int) for _ in range(n_max + 1)]
-    tallies: Dict[int, Counter] = {n: Counter() for n in range(n_lo, n_max + 1)}
+    tallies: Dict[int, Dict[tuple, int]] = {n: defaultdict(int) for n in range(n_lo, n_max + 1)}
     for D in range(n_max + 1):
         if D:
             for sid, count in carry[D - 1].items():
@@ -575,21 +573,21 @@ def _transfer_tallies(transfer: Transfer, n_lo: int) -> Dict[int, Counter]:
     return tallies
 
 
-def _orbit_size(field: Fq, tally: Counter) -> int:
+def _orbit_size(field: Fq, tally: Dict[tuple, int]) -> int:
     """Primitive vectors over the tallied nodes: q - 1 values of lambda for
     each admissible mu (sharp) and for the blunt form."""
     return (field.q - 1) * sum(count * (len(key[-2]) + key[-1])
                                for key, count in tally.items())
 
 
-def _orbit_cells(field: Fq, key: tuple, theta_ids: Dict, dp_ids: Dict) -> Counter:
+def _orbit_cells(field: Fq, key: tuple, theta_ids: Dict, dp_ids: Dict) -> Dict[tuple, int]:
     """The cells of the orbit over a node of joint key `key`, with the
     number of its vectors in each.  Over a node (r, s) lie the sharp vectors
     (lambda*s, mu*s + r) and the blunt vectors (r, lambda*s), lambda in
     F_q^*; their solution statistics are -+lambda^-1 r^-1/s."""
     mul, add, neg, inv = field.mul_t, field.add_t, field.neg_t, field.inv_t
     s_top, r_top, digits, mus, r_in = key
-    cells: Counter = Counter()
+    cells: Dict[tuple, int] = defaultdict(int)
     for lam in range(1, field.q):
         lam_s = tuple(mul[lam][c] for c in s_top)
         if mus:
@@ -603,12 +601,12 @@ def _orbit_cells(field: Fq, key: tuple, theta_ids: Dict, dp_ids: Dict) -> Counte
     return cells
 
 
-def _bin_orbits(field: Fq, nodes: Dict[int, Counter], theta_ids: Dict,
-                dp_ids: Dict) -> Dict[int, Counter]:
+def _bin_orbits(field: Fq, nodes: Dict[int, Dict[tuple, int]], theta_ids: Dict,
+                dp_ids: Dict) -> Dict[int, Dict[tuple, int]]:
     """Cell histograms of the orbits over each level's tallied nodes.  The DP
     meets the same keys at every level, so _orbit_cells runs once per key."""
-    orbits: Dict[tuple, Counter] = {}
-    hists: Dict[int, Counter] = defaultdict(Counter)
+    orbits: Dict[tuple, Dict[tuple, int]] = {}
+    hists: Dict[int, Dict[tuple, int]] = {n: defaultdict(int) for n in nodes}
     for n, tally in nodes.items():
         for key, count in tally.items():
             if key not in orbits:
@@ -618,13 +616,13 @@ def _bin_orbits(field: Fq, nodes: Dict[int, Counter], theta_ids: Dict,
     return hists
 
 
-def _bin_ratios(field: Fq, tally: Counter, dp_ids: Dict) -> Counter:
+def _bin_ratios(field: Fq, tally: Dict[tuple, int], dp_ids: Dict) -> Dict[tuple, int]:
     """Cell histogram of the penultimate ratios over the tallied cfe nodes.
 
     The q - 1 pairs (lambda*r, lambda*s) over a node share the fraction r/s,
     whose ratio (-1)^k Q_{k-1}/Q_k is -lead(Q_k)^-2 r^-1/s."""
     mul, neg, inv = field.mul_t, field.neg_t, field.inv_t
-    hist: Counter = Counter()
+    hist: Dict[tuple, int] = defaultdict(int)
     for (digits, lead), count in tally.items():
         scale = neg[inv[mul[lead][lead]]]
         hist[(dp_ids[tuple(mul[scale][d] for d in digits)],)] += (field.q - 1) * count
@@ -680,7 +678,7 @@ def _depth_warning(cfg: RunConfig, floor_exp: Fraction, warnings: List[str]) -> 
             "may be vacuous")
 
 
-def _cell_table(n: int, cells: Sequence[Tuple[str, ...]], hist: Counter,
+def _cell_table(n: int, cells: Sequence[Tuple[str, ...]], hist: Dict[tuple, int],
                 expected: Fraction, rows: List[tuple]
                 ) -> Tuple[int, Fraction, Fraction]:
     """Append a row (n, *cell, count, expected, ratio) of level n for each
@@ -690,7 +688,9 @@ def _cell_table(n: int, cells: Sequence[Tuple[str, ...]], hist: Counter,
     gaps stay integers over e; ratios are computed once per distinct count."""
     e, f = expected.numerator, expected.denominator
     counts = [hist.get(cell, 0) for cell in cells]
-    cells_with = Counter(counts)
+    cells_with: Dict[int, int] = {}
+    for c in counts:
+        cells_with[c] = cells_with.get(c, 0) + 1
     ratio = {c: Fraction(c * f, e) for c in cells_with}
     rows.extend((n, *cell, c, expected, ratio[c]) for cell, c in zip(cells, counts))
     gap = {c: abs(c * f - e) for c in cells_with}

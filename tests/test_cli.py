@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fqlattice
 from fqlattice.cli import EXPERIMENTS, build_parser, config_from_args, main, parse_args
-from fqlattice.field import echo_text
+from fqlattice.field import Fq, echo_text, get_field
 from fqlattice.harness import ConfigError, RunConfig
 
 
@@ -560,6 +561,45 @@ def test_no_module_imported_during_a_call(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["count []", "joint []", "cfe []"]
+
+
+@pytest.mark.parametrize("argv", [["count", "--q", "3", "--ideal", "Y+1"],
+                                  ["joint", "--q", "4"], ["cfe", "--q", "2"]])
+def test_a_run_builds_no_field_its_caller_built(argv, tmp_path, monkeypatch):
+    # the run's get_field(q, None) is the caller's get_field(q)
+    get_field(int(argv[2]))
+    built, init = [], Fq.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Fq, "__init__", counted)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_pauses_the_collector_and_restores_it(enabled, tmp_path, monkeypatch):
+    # a CSV run leaves no cyclic garbage, so pausing the collector for the
+    # call costs no memory; the caller's setting comes back after it
+    seen, compile_transfer = [], fqlattice.harness._compile_transfer
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return compile_transfer(*args)
+
+    monkeypatch.setattr("fqlattice.harness._compile_transfer", spy)
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["joint", "--out", str(tmp_path / "r.csv")]) == 0
+        assert seen == [False] and gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -462,7 +462,7 @@ def test_canonical_residues_keep_one_state_per_class(q):
             # quadruple -> its form, as coefficient tuples; every form is
             # itself a unimodular quadruple, so the table can look it up
             table = {tuple(x.coeffs for x in res):
-                     tuple(residues[c].coeffs for c in canonical(*(code[x.coeffs] for x in res)))
+                     tuple(residues[c].coeffs for c in canonical[tuple(code[x.coeffs] for x in res)])
                      for res in quads}
             for res, canon in table.items():
                 assert table[tuple(map(scaled.get, res))] == canon, (text, res)
@@ -512,7 +512,7 @@ def test_unit_ideal_has_the_one_residue_zero(q):
         residues, code, affine, canonical = _residue_arithmetic(field.one, uniform)
         assert (residues, code) == ([field.zero], {(): 0})
         assert affine(0, 0, 0) == 0
-        assert canonical(0, 0, 0, 0) == (0, 0, 0, 0)
+        assert canonical[0, 0, 0, 0] == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 60), (3, 30)])

@@ -484,4 +484,8 @@ class TestTextForms:
 
 def test_get_field_is_shared():
     assert get_field(2) is get_field(2)
+    # no modulus names the built-in one: one field under either spelling
+    assert get_field(3) is get_field(3, None)
+    assert get_field(4) is get_field(4, (1, 1, 1))
+    assert get_field(9, (2, 1, 1)) is not get_field(9)
     assert get_field(4).mul(2, 2) == 3

@@ -578,6 +578,9 @@ def csv_tables(draw):
     return columns, [tuple(row) for row in rows]
 
 
+HALF = Fraction(1, 2)
+
+
 class TestCsvTable:
     """_csv_table against csv.writer(lineterminator="\n") fed the cell texts
     of a local reference: true/false for a bool, "-" for None, else str."""
@@ -586,6 +589,11 @@ class TestCsvTable:
     @given(csv_tables())
     @example((["a", "b"], [(1, True), (True, 1), (Fraction(1), None), (0.5, False)]))
     @example(([" ", "\r", 'x"'], [("", "a\rb", 'say "y"'), ("1,5\n", " ", "-")]))
+    # the cache is keyed by identity: equal ints above 256 as distinct objects,
+    # one Fraction object in several rows, and True next to 1 in a column
+    @example((["n", "c"], [(int("1000"), int("1000")), (int("1000"), 257), (257, int("257"))]))
+    @example((["r", "s"], [(HALF, HALF), (HALF, 1), (Fraction(1, 2), HALF)]))
+    @example((["v"], [(True,), (1,), (1,), (True,), (False,), (0,)]))
     def test_matches_csv_writer(self, table):
         columns, rows = table
         assert _csv_table(columns, rows) == self.oracle(columns, rows)

@@ -148,6 +148,11 @@ def test_field_loads_no_json_or_fractions():
     assert not {"json", "fractions"} & _loaded_by("import fqlattice.field")
 
 
+def test_cli_loads_no_json():
+    # to_json imports it in its own call, so a CSV run never pays for it
+    assert "json" not in _loaded_by("import fqlattice.cli")
+
+
 def test_no_dataclasses_import():
     # `import dataclasses` pulls in inspect, ast, dis and tokenize on every
     # cold start; the value classes are NamedTuples or plain classes
