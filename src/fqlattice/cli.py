@@ -142,6 +142,8 @@ def _check_out(out: Optional[str]) -> Optional[Path]:
         raise ConfigError(f"output path {echo_text(out)} is a directory")
     if not os.path.isdir(path.parent):
         raise ConfigError(f"output directory {echo_text(str(path.parent))} does not exist")
+    if os.path.basename(out) in ("", "."):  # Path would drop a trailing '/' or '/.'
+        raise ConfigError(f"output path {echo_text(out)} names no file")
     return path
 
 
@@ -176,7 +178,8 @@ def _write_output(report: Report, fmt: str, path: Optional[Path]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # a run makes no reference cycles: the collector would only rescan its tables
+    # the collector would only rescan a run's tables: a CSV run makes no reference
+    # cycles, a JSON run only json.dump's encoder closures, left to the next collection
     collecting = gc.isenabled()
     gc.disable()
     try:

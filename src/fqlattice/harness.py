@@ -297,9 +297,7 @@ def to_csv(report: Report) -> str:
 def to_points_csv(report: Report) -> str:
     if report.points is None:
         raise ValueError("report carries no point dump")
-    # point rows share no cell objects, so _csv_table's cache would only miss
-    return "\n".join([",".join(map(_csv_field, r))
-                      for r in (POINT_COLUMNS, *report.points)]) + "\n"
+    return _csv_table(POINT_COLUMNS, report.points)
 
 
 def render_report(report: Report, fmt: str, stream: TextIO) -> None:
@@ -601,32 +599,29 @@ def _orbit_cells(field: Fq, key: tuple, theta_ids: Dict, dp_ids: Dict) -> Dict[t
     return cells
 
 
-def _bin_orbits(field: Fq, nodes: Dict[int, Dict[tuple, int]], theta_ids: Dict,
-                dp_ids: Dict) -> Dict[int, Dict[tuple, int]]:
-    """Cell histograms of the orbits over each level's tallied nodes.  The DP
-    meets the same keys at every level, so _orbit_cells runs once per key."""
-    orbits: Dict[tuple, Dict[tuple, int]] = {}
-    hists: Dict[int, Dict[tuple, int]] = {n: defaultdict(int) for n in nodes}
+def _ratio_cells(field: Fq, key: tuple, dp_ids: Dict) -> Dict[tuple, int]:
+    """The cell of the penultimate ratio over a cfe node of key `key`, with
+    its q - 1 pairs (lambda*r, lambda*s): they share the fraction r/s, whose
+    ratio (-1)^k Q_{k-1}/Q_k is -lead(Q_k)^-2 r^-1/s."""
+    mul = field.mul_t
+    digits, lead = key
+    scale = field.neg_t[field.inv_t[mul[lead][lead]]]
+    return {(dp_ids[tuple(mul[scale][d] for d in digits)],): field.q - 1}
+
+
+def _bin_nodes(nodes: Dict[int, Dict[tuple, int]],
+               cells_of: Callable[[tuple], Dict[tuple, int]]) -> Dict[int, Dict[tuple, int]]:
+    """Cell histograms of each level's tallied nodes, a node of key `key`
+    adding cells_of(key)[cell] points to each cell.  The DP meets the same
+    keys at every level, so cells_of runs once per key."""
+    cells = _Memo(cells_of)
+    hists: Dict[int, Dict[tuple, int]] = {}
     for n, tally in nodes.items():
+        hist = hists[n] = defaultdict(int)
         for key, count in tally.items():
-            if key not in orbits:
-                orbits[key] = _orbit_cells(field, key, theta_ids, dp_ids)
-            for cell, mult in orbits[key].items():
-                hists[n][cell] += count * mult
+            for cell, mult in cells[key].items():
+                hist[cell] += count * mult
     return hists
-
-
-def _bin_ratios(field: Fq, tally: Dict[tuple, int], dp_ids: Dict) -> Dict[tuple, int]:
-    """Cell histogram of the penultimate ratios over the tallied cfe nodes.
-
-    The q - 1 pairs (lambda*r, lambda*s) over a node share the fraction r/s,
-    whose ratio (-1)^k Q_{k-1}/Q_k is -lead(Q_k)^-2 r^-1/s."""
-    mul, neg, inv = field.mul_t, field.neg_t, field.inv_t
-    hist: Dict[tuple, int] = defaultdict(int)
-    for (digits, lead), count in tally.items():
-        scale = neg[inv[mul[lead][lead]]]
-        hist[(dp_ids[tuple(mul[scale][d] for d in digits)],)] += (field.q - 1) * count
-    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +755,7 @@ def run_joint(cfg: RunConfig) -> Report:
     theta_ids, dp_ids = _cell_ids(field, m, mp)
     cells = [(th, dp) for th in theta_ids.values() for dp in dp_ids.values()]
     nodes = _transfer_tallies(_compile_transfer(I.gen, "joint", m, mp, cfg.n_max), cfg.n_min)
-    hists = _bin_orbits(field, nodes, theta_ids, dp_ids)
+    hists = _bin_nodes(nodes, lambda key: _orbit_cells(field, key, theta_ids, dp_ids))
     for n in levels:
         # the exception flag of solution_statistic fires on the sharp
         # (lambda, mu) of level 0 alone: the companion (0, lambda^-1) has
@@ -800,9 +795,9 @@ def run_cfe(cfg: RunConfig) -> Report:
     cells = [(dp,) for dp in dp_ids.values()]
     nodes = _transfer_tallies(
         _compile_transfer(I.gen, "cfe", cfg.depth_m, mp, cfg.n_max), cfg.n_min)
+    hists = _bin_nodes(nodes, lambda key: _ratio_cells(field, key, dp_ids))
     for n in range(cfg.n_min, cfg.n_max + 1):
-        hist = _bin_ratios(field, nodes[n], dp_ids)
-        total, sup, mean = _cell_table(n, cells, hist, expected0 * q ** (2 * n), rows)
+        total, sup, mean = _cell_table(n, cells, hists[n], expected0 * q ** (2 * n), rows)
         summary[f"total[n={n}]"] = total
         summary[f"sup_discrepancy[n={n}]"] = sup
         summary[f"mean_discrepancy[n={n}]"] = mean

@@ -223,26 +223,35 @@ class TestExitCodes:
         def no_work(*args):
             raise AssertionError("the run started")
         monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
-        target = tmp_path / "missing" / "x.csv"
-        code, out, err = run(["count", "--out", str(target)], capsys)
-        assert code == 2 and out == ""
-        assert "configuration error" in err and "does not exist" in err
-        assert not target.parent.exists()
+        missing = tmp_path / "missing"
+        # a missing directory is named first, with or without a trailing separator
+        for target in (str(missing / "x.csv"), f"{missing / 'x'}{os.sep}"):
+            code, out, err = run(["count", "--out", target], capsys)
+            assert code == 2 and out == ""
+            assert err == (f"configuration error: output directory "
+                           f"{echo_text(str(missing))} does not exist\n")
+        assert not missing.exists()
 
-    @pytest.mark.parametrize("target", ["", ".", "/"])
-    def test_out_names_no_file(self, capsys, monkeypatch, target):
+    @pytest.mark.parametrize("target", ["", ".", "/", "x/", "x/.", "x//", "{tmp}/r/"])
+    def test_out_names_no_file(self, tmp_path, capsys, monkeypatch, target):
+        # Path reads "x/", "x/." and "x//" as the file x: a path that ends in
+        # a separator or "/." is refused, not rewritten
         def no_work(*args):
             raise AssertionError("the run started")
         monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
+        monkeypatch.chdir(tmp_path)
+        target = target.format(tmp=tmp_path)
         code, out, err = run(["count", "--out", target], capsys)
         assert code == 2 and out == ""
-        assert err == f"configuration error: output path {target!r} names no file\n"
+        assert err == f"configuration error: output path {echo_text(target)} names no file\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_names_directory(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the run started")
         monkeypatch.setattr("fqlattice.harness._compile_transfer", no_work)
-        for target in ("..", str(tmp_path), str(tmp_path) + os.sep):
+        for target in ("..", str(tmp_path), str(tmp_path) + os.sep,
+                       f"{tmp_path}{os.sep}."):
             code, out, err = run(["count", "--out", target], capsys)
             assert code == 2 and out == ""
             assert err == ("configuration error: output path "
@@ -600,6 +609,20 @@ def test_a_run_pauses_the_collector_and_restores_it(enabled, tmp_path, monkeypat
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("argv", [["joint"], ["cfe", "--ideal", "Y"],
+                                  ["count", "--q", "3", "--dump"]])
+def test_a_csv_run_leaves_no_cyclic_garbage(argv, tmp_path):
+    # the premise of the paused collector: a CSV call leaves nothing for it
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from fqlattice.cfrac import cf_expand, penultimate_ratio
 from fqlattice.field import (Ideal, get_field, is_coprime, poly_from_text,
                              polys_of_degree, polys_up_to_degree)
-from fqlattice.harness import (RunConfig, _bin_ratios, _compile_transfer, _ideal_orbit,
-                               _orbit_size, _residue_arithmetic, _transfer_tallies,
+from fqlattice import harness
+from fqlattice.harness import (RunConfig, _compile_transfer, _ideal_orbit, _orbit_size,
+                               _ratio_cells, _residue_arithmetic, _transfer_tallies,
                                _tree_block, run_cfe, run_count, run_joint)
 from fqlattice.lattice import (companion_of, domain_cells, euclid_tree,
                                primitive_vectors, small_component,
@@ -195,9 +196,32 @@ def test_cfe_bins_each_node_by_its_penultimate_ratio(q):
     mp = 3
     dp_ids = {c.digits: c.id_text() for c in domain_cells(field, mp)}
     for r, s, inv, lead in euclid_tree(field, 2 if q <= 5 else 1):
-        got = _bin_ratios(field, Counter({(rat(inv, s).expand(1, mp), lead): 1}), dp_ids)
+        got = _ratio_cells(field, (rat(inv, s).expand(1, mp), lead), dp_ids)
         want = dp_ids[penultimate_ratio(rat(r, s)).expand(1, mp)]
         assert got == {(want,): q - 1}, (str(r), str(s))
+
+
+@pytest.mark.parametrize("kind, cells_of, ideal", [("joint", "_orbit_cells", "1"),
+                                                   ("cfe", "_ratio_cells", "Y")])
+def test_bin_nodes_finds_each_keys_cells_once(monkeypatch, kind, cells_of, ideal):
+    # the DP meets the same keys at every level, and _bin_nodes memoises them
+    calls, sweeps = [], []
+    find, sweep = getattr(harness, cells_of), harness._transfer_tallies
+
+    def spy(field, key, *ids):
+        calls.append(key)
+        return find(field, key, *ids)
+
+    def keep(*args):
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(harness, cells_of, spy)
+    monkeypatch.setattr(harness, "_transfer_tallies", keep)
+    harness.RUNNERS[kind](RunConfig(q=3, n_min=1, n_max=5, ideal=ideal, experiment=kind))
+    [nodes] = sweeps
+    keys = {key for tally in nodes.values() for key in tally}
+    assert len(calls) == len(keys) < sum(map(len, nodes.values()))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

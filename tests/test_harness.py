@@ -601,7 +601,6 @@ class TestCsvTable:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[CSV_VALUES] * len(POINT_COLUMNS)), max_size=12))
     def test_points_match_csv_writer(self, points):
-        # to_points_csv formats every cell afresh instead of through the cache
         expected = self.oracle(POINT_COLUMNS, points)
         assert to_points_csv(SimpleNamespace(points=points)) == expected
 
