@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .field import NEG_INF, Poly
-from .laurent import LatticeVec, RationalFn
+from .field import Poly
+from .laurent import LatticeVec, RationalFn, rat
 from .lattice import companion_of
 
 
@@ -66,9 +66,9 @@ def cf_value(a0: Poly, coeffs: Tuple[Poly, ...]) -> RationalFn:
     """Evaluate [a0; a1, ..., an] bottom up."""
     acc: Optional[RationalFn] = None
     for a in reversed(coeffs):
-        v = RationalFn.from_poly(a)
+        v = rat(a)
         acc = v if acc is None else v + acc.reciprocal()
-    head = RationalFn.from_poly(a0)
+    head = rat(a0)
     return head if acc is None else head + acc.reciprocal()
 
 
@@ -172,8 +172,7 @@ def brute_force_shortest(a: Poly, b: Poly) -> LatticeVec:
     divided out only where that remainder vanishes.
     """
     field = a.field
-    B = max((a.degree if not a.is_zero() else -1),
-            (b.degree if not b.is_zero() else -1))
+    B = max(a.degree, b.degree)
     if B < 1:
         raise ValueError("constant pairs have no unique shortest solution")
     solutions: List[Tuple[int, LatticeVec]] = []
@@ -195,9 +194,7 @@ def brute_force_shortest(a: Poly, b: Poly) -> LatticeVec:
                 continue
             y = field.poly([i // q ** k % q for k in range(B)])
             x = (one - b * y) // a
-            dx = x.degree if not x.is_zero() else NEG_INF
-            dy = y.degree if not y.is_zero() else NEG_INF
-            solutions.append((max(dx, dy), LatticeVec(x, y)))
+            solutions.append((max(x.degree, y.degree), LatticeVec(x, y)))
     if not solutions:
         raise ValueError("no solutions: pair is not coprime")
     best = min(n for n, _ in solutions)

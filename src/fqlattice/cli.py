@@ -25,28 +25,39 @@ from .harness import (ConfigError, Report, RunConfig, RUNNERS, render_report,
 
 EXPERIMENTS = tuple(RUNNERS)
 
+
+def _int(text: str) -> int:
+    """int() of an ASCII text without "_": int() alone would also read other
+    scripts' digits and a "_" between digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII int: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's "invalid int value" names the type by it
+
 # the options every subcommand takes: flag, dest, kind, default, help, choices;
 # config_from_args fills the level range
 OPTIONS = (
-    ("--q", "q", int, 2, "field size, a prime power (default 2)", None),
+    ("--q", "q", _int, 2, "field size, a prime power (default 2)", None),
     ("--modulus", "modulus", str, None,
      "comma-separated modulus coefficients for non-prime q, constant term first", None),
-    ("--n-min", "n_min", int, None, None, None),
-    ("--n-max", "n_max", int, None, None, None),
-    ("--depth-m", "depth_m", int, 1, "direction cylinder depth (default 1)", None),
-    ("--depth-mp", "depth_mp", int, 2, "solution cylinder depth (default 2)", None),
+    ("--n-min", "n_min", _int, None, None, None),
+    ("--n-max", "n_max", _int, None, None, None),
+    ("--depth-m", "depth_m", _int, 1, "direction cylinder depth (default 1)", None),
+    ("--depth-mp", "depth_mp", _int, 2, "solution cylinder depth (default 2)", None),
     ("--ideal", "ideal", str, "1",
      "ideal generator as polynomial text, e.g. 'Y' or 'Y^2+Y+1' (default 1)", None),
-    ("--workers", "workers", int, 1,
+    ("--workers", "workers", _int, 1,
      "accepted (must be >= 1) but has no effect: count, joint and cfe run in "
      "one process", None),
     ("--format", "fmt", str, "csv", None, ("csv", "json")),
     ("--out", "out", str, None, "output path (default stdout)", None),
     ("--dump", "dump", bool, False, "materialize point lists for levels n <= 4", None),
-    ("--guard", "guard", int, 10 ** 8,
+    ("--guard", "guard", _int, 10 ** 8,
      "refuse runs whose work estimate q^(2*n_max+2+deg gen), report table rows "
      "or --dump cell list rows exceed this bound", None),
-    ("--cell-floor", "cell_floor", int, 8,
+    ("--cell-floor", "cell_floor", _int, 8,
      "warn when expected counts per cell drop below this floor", None),
 )
 _BY_FLAG = {option[0]: option for option in OPTIONS}
@@ -94,7 +105,7 @@ def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """The namespace argparse gives for a plain call: a subcommand, then only
     `--dump`, exact flags each followed by a value, and `--flag=value`, where
     no value starts with '-', `--format` names one of its choices and int
-    values read by int() as argparse's type=int reads them.  None for any
+    values read by _int() as argparse's type=_int reads them.  None for any
     other argv, which argparse then parses."""
     if not argv or argv[0] not in EXPERIMENTS:
         return None
@@ -115,11 +126,10 @@ def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
                 value = next(tokens, "-")  # a missing value falls back as a '-' one
             if value.startswith("-") or (choices and value not in choices):
                 return None
-            if kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    return None
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
         setattr(args, dest, value)
     return args
 

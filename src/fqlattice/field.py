@@ -11,8 +11,9 @@ modulus).
 
 Polynomials are immutable coefficient tuples (low to high, trimmed).  The
 degree of the zero polynomial is the NEG_INF singleton: it orders below every
-integer but refuses arithmetic, so code must branch on zeroness explicitly
-instead of letting a -1 sentinel leak into degree formulas.
+integer but refuses arithmetic, so arithmetic on a degree must branch on
+zeroness instead of letting a -1 sentinel leak into degree formulas, while a
+comparison may rely on the ordering.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class _Extended:
 
     def __hash__(self):
         return hash(("infinity", self._pos))
-
-    def __neg__(self):
-        return POS_INF if self is NEG_INF else NEG_INF
 
     def __repr__(self):
         return "POS_INF" if self._pos else "NEG_INF"
@@ -142,9 +140,6 @@ class Fq:
 
     def add(self, a: int, b: int) -> int:
         return self.add_t[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_t[a][self.neg_t[b]]
 
     def neg(self, a: int) -> int:
         return self.neg_t[a]
@@ -432,7 +427,7 @@ def polys_up_to_degree(field: Fq, d: int) -> Iterator[Poly]:
 
 def is_irreducible(p: Poly) -> bool:
     d = p.degree
-    if d is NEG_INF or d < 1:
+    if d < 1:
         return False
     for k in range(1, d // 2 + 1):
         for cand in polys_of_degree(p.field, k, monic=True):
@@ -473,7 +468,7 @@ def factor(p: Poly) -> Tuple[Poly, ...]:
     rem = p.monic()
     out: List[Poly] = []
     d = 1
-    while rem.degree is not NEG_INF and rem.degree >= 1:
+    while rem.degree >= 1:
         if d > rem.degree // 2:
             out.append(rem)
             break
@@ -502,10 +497,6 @@ class Ideal(_IdealFields):
         if gen.is_zero():
             raise ValueError("ideal generator must be nonzero")
         return super().__new__(cls, gen if gen.is_monic() else gen.monic())
-
-    @classmethod
-    def unit(cls, field: Fq) -> "Ideal":
-        return cls(field.one)
 
     @property
     def field(self) -> Fq:

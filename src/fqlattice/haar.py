@@ -110,14 +110,12 @@ def sl2_order_mod(q: int, N: int) -> int:
     return q ** (3 * N - 2) * (q * q - 1)
 
 
-def kernel_ball_measure(q: int, N: int) -> Fraction:
-    """Haar mass of the depth-N congruence ball in the matrix group."""
-    return Fraction(q * q, q * q - 1) * Fraction(1, q ** (3 * N))
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
+
+# the most residues hecke_index_bruteforce's orbit scan takes
+ORACLE_RESIDUE_LIMIT = 256
 
 
 def hecke_index_bruteforce(I: Ideal) -> int:
@@ -129,8 +127,8 @@ def hecke_index_bruteforce(I: Ideal) -> int:
     """
     if I.gen.is_one():
         return 1
-    if I.norm > 256:
-        raise ValueError("oracle restricted to residue rings of size <= 256")
+    if I.norm > ORACLE_RESIDUE_LIMIT:
+        raise ValueError(f"oracle restricted to residue rings of size <= {ORACLE_RESIDUE_LIMIT}")
     field = I.field
     g = I.gen
     residues = list(polys_up_to_degree(field, g.degree - 1))
@@ -222,8 +220,7 @@ class Mat2(NamedTuple):
         return self.a * self.d - self.b * self.c
 
     def is_integral(self) -> bool:
-        return all(f.is_zero() or f.valuation() >= 0
-                   for f in (self.a, self.b, self.c, self.d))
+        return all(f.valuation() >= 0 for f in (self.a, self.b, self.c, self.d))
 
 
 class LuFactors(NamedTuple):

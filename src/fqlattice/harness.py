@@ -72,8 +72,8 @@ from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
 from .field import (Fq, Ideal, Poly, _text_terms, get_field, is_coprime,
                     echo_text, poly_from_terms, polys_of_degree,
                     polys_up_to_degree)
-from .haar import (Mat2, cfe_prefactor, counting_main_term, c_constant,
-                   expected_box_count, hecke_index, hecke_index_bruteforce,
+from .haar import (ORACLE_RESIDUE_LIMIT, Mat2, cfe_prefactor, counting_main_term,
+                   c_constant, expected_box_count, hecke_index, hecke_index_bruteforce,
                    kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
                    sl2_order_bruteforce, sphere_mass, BoxSpec)
 from .lattice import (companion_of, count_membership_flips, domain_cells,
@@ -188,6 +188,13 @@ def validate_config(cfg: RunConfig, kind: str) -> Tuple[Fq, Ideal]:
                 "raise --guard to proceed")
     if not terms:
         raise ConfigError("ideal generator must be nonzero")
+    # verify's hecke_index oracle scans the ideal's residues and those of
+    # every monic generator of degree <= 2
+    if kind == "verify":
+        for name, size in (("q^2", cfg.q ** 2), ("N(I)", cfg.q ** max(terms))):
+            if size > ORACLE_RESIDUE_LIMIT:
+                raise ConfigError(f"verify's oracles take at most {ORACLE_RESIDUE_LIMIT} "
+                                  f"residues, but {name} = {size}")
     return field, Ideal(poly_from_terms(field, terms))
 
 

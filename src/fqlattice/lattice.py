@@ -39,16 +39,12 @@ from .field import Fq, Ideal, Poly, is_coprime, poly_xgcd, polys_of_degree, poly
 from .haar import Mat2
 from .laurent import (
     LatticeVec, PlaneVec, RationalFn, as_plane, in_cell, is_sharp,
-    lattice_direction_digits, pi_pow, rat, reduce_mod_R, vec_norm_exp, z_of,
+    lattice_direction_digits, pi_pow, rat, vec_norm_exp, z_of,
 )
 
 
 def lattice_is_sharp(v: LatticeVec) -> bool:
     """|a| >= |b| with the zero component convention |0| = 0."""
-    if v.a.is_zero():
-        return v.b.is_zero()
-    if v.b.is_zero():
-        return True
     return v.a.degree >= v.b.degree
 
 
@@ -87,9 +83,6 @@ class SphereCell(_SphereCellFields):
 
     def measure(self) -> Fraction:
         return Fraction(1, self.field.q ** (2 * self.depth))
-
-    def contains_lattice(self, v: LatticeVec, n: int) -> bool:
-        return lattice_direction_digits(v, n, self.depth) == (self.x_digits, self.y_digits)
 
     def contains_plane(self, v: PlaneVec) -> bool:
         # the digits of v / Y^k at indices 0.. are those of v at -k..
@@ -158,8 +151,7 @@ def primitive_vectors(field: Fq, n: int,
     if n < 0:
         raise ValueError("level must be >= 0")
     for a in polys_up_to_degree(field, n):
-        a_level = (not a.is_zero()) and a.degree == n
-        bs = polys_up_to_degree(field, n) if a_level else polys_of_degree(field, n)
+        bs = polys_up_to_degree(field, n) if a.degree == n else polys_of_degree(field, n)
         for b in bs:
             if a.is_zero() and b.is_zero():
                 continue
@@ -259,7 +251,7 @@ def solution_statistic(v: LatticeVec, w: Optional[LatticeVec] = None
     exceptional = False
     if lattice_is_sharp(v):
         exceptional = raw != rat(w.a, v.a)
-    return reduce_mod_R(raw), exceptional
+    return raw.fractional_part(), exceptional
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ are kept exact as reduced numerator/denominator pairs with monic denominator;
 and a cell of fixed leading digits is tested with `in_cell`.
 
 The ball of radius q^-1 around zero (series with no polynomial part) doubles
-as the fundamental domain for translation by polynomials, so reduce_mod_R is
-just "drop the polynomial part".
+as the fundamental domain for translation by polynomials, so reducing mod R
+is just "drop the polynomial part": `fractional_part`.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class RationalFn:
                     den = den.scale(c)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFn":
-        return cls(p, p.field.one, _reduced=True)
 
     @property
     def field(self) -> Fq:
@@ -134,19 +130,16 @@ class RationalFn:
 
 
 def rat(num: Poly, den: Poly = None) -> RationalFn:
-    return RationalFn.from_poly(num) if den is None else RationalFn(num, den)
+    if den is None:
+        return RationalFn(num, num.field.one, _reduced=True)
+    return RationalFn(num, den)
 
 
 def pi_pow(field: Fq, k: int) -> RationalFn:
     """(1/Y)^k as an exact rational function, any integer k."""
     if k >= 0:
         return RationalFn(field.one, field.monomial(k), _reduced=True)
-    return RationalFn.from_poly(field.monomial(-k))
-
-
-def reduce_mod_R(f: RationalFn) -> RationalFn:
-    """Representative of f modulo polynomials inside the ball of radius 1/q."""
-    return f.fractional_part()
+    return rat(field.monomial(-k))
 
 
 def in_cell(f: RationalFn, lo: int, digits: Tuple[int, ...]) -> bool:
@@ -171,7 +164,7 @@ class LatticeVec(NamedTuple):
 
 
 def as_plane(v: LatticeVec) -> PlaneVec:
-    return PlaneVec(RationalFn.from_poly(v.a), RationalFn.from_poly(v.b))
+    return PlaneVec(rat(v.a), rat(v.b))
 
 
 def vec_norm_exp(v: PlaneVec) -> int:
@@ -179,7 +172,7 @@ def vec_norm_exp(v: PlaneVec) -> int:
     ex, ey = v.x.abs_exp(), v.y.abs_exp()
     if ex is NEG_INF and ey is NEG_INF:
         raise ValueError("zero vector has no direction data")
-    return ex if ey is NEG_INF else (ey if ex is NEG_INF else max(ex, ey))
+    return max(ex, ey)
 
 
 def is_sharp(v: PlaneVec) -> bool:

@@ -180,6 +180,22 @@ class TestExitCodes:
         code, out, err = run(["cfe", "--dump", *tail], capsys)
         assert (code, out, err) == (2, "", f"configuration error: {refusal}\n")
 
+    @pytest.mark.parametrize("argv,size", [
+        (["--q", "17", "--n-min", "1", "--n-max", "1"], "q^2 = 289"),
+        (["--q", "3", "--ideal", "Y^6+Y+2"], "N(I) = 729"),
+        (["--q", "2", "--ideal", "Y^9+Y+1"], "N(I) = 512"),
+    ])
+    def test_verify_refuses_rings_beyond_its_oracle(self, capsys, monkeypatch, argv, size):
+        # hecke_index_bruteforce would raise its own ValueError on them
+        def no_work(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr("fqlattice.harness.hecke_index", no_work)
+        monkeypatch.setattr("fqlattice.harness.hecke_index_bruteforce", no_work)
+        code, out, err = run(["verify", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("configuration error: verify's oracles take at most 256 "
+                       f"residues, but {size}\n")
+
     def test_bad_modulus(self, capsys):
         code, _, err = run(["count", "--q", "4", "--modulus", "1,1"], capsys)
         assert code == 2 and "configuration error" in err
@@ -286,9 +302,20 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith("joint: 1 failure(s), ")
 
 
+def ascii_int(text):
+    """int() refusing what is not ASCII or holds a "_", as argparse's int."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+ascii_int.__name__ = "int"
+
+
 def reference_parser() -> argparse.ArgumentParser:
     """The parser as built before the subcommands shared one set of options:
-    each subcommand declares its own, with its own level-range defaults."""
+    each subcommand declares its own, with its own level-range defaults, and
+    reads int values with ascii_int."""
     parser = argparse.ArgumentParser(
         prog="fqlattice",
         description="Exact experiments on primitive lattice points over "
@@ -301,21 +328,21 @@ def reference_parser() -> argparse.ArgumentParser:
             ("verify", "run every oracle comparison and report a table"),
             ("bijection", "two-sided box enumeration comparison")):
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--q", type=int, default=2,
+        p.add_argument("--q", type=ascii_int, default=2,
                        help="field size, a prime power (default 2)")
         p.add_argument("--modulus", default=None,
                        help="comma-separated modulus coefficients for "
                             "non-prime q, constant term first")
-        p.add_argument("--n-min", type=int, default=1 if name != "bijection" else 0)
-        p.add_argument("--n-max", type=int, default=3 if name != "bijection" else 2)
-        p.add_argument("--depth-m", type=int, default=1,
+        p.add_argument("--n-min", type=ascii_int, default=1 if name != "bijection" else 0)
+        p.add_argument("--n-max", type=ascii_int, default=3 if name != "bijection" else 2)
+        p.add_argument("--depth-m", type=ascii_int, default=1,
                        help="direction cylinder depth (default 1)")
-        p.add_argument("--depth-mp", type=int, default=2,
+        p.add_argument("--depth-mp", type=ascii_int, default=2,
                        help="solution cylinder depth (default 2)")
         p.add_argument("--ideal", default="1",
                        help="ideal generator as polynomial text, e.g. 'Y' or "
                             "'Y^2+Y+1' (default 1)")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=ascii_int, default=1,
                        help="accepted (must be >= 1) but has no effect: "
                             "count, joint and cfe run in one process")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
@@ -323,11 +350,11 @@ def reference_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--dump", action="store_true",
                        help="materialize point lists for levels n <= 4")
-        p.add_argument("--guard", type=int, default=10 ** 8,
+        p.add_argument("--guard", type=ascii_int, default=10 ** 8,
                        help="refuse runs whose work estimate "
                             "q^(2*n_max+2+deg gen), report table rows or "
                             "--dump cell list rows exceed this bound")
-        p.add_argument("--cell-floor", type=int, default=8,
+        p.add_argument("--cell-floor", type=ascii_int, default=8,
                        help="warn when expected counts per cell drop below "
                             "this floor")
     return parser
@@ -441,6 +468,21 @@ class TestParser:
             assert main(argv + out) == 0
         with pytest.raises(AssertionError, match="argparse was built"):
             main(["count", "--n-m", "2"] + out)
+
+    @pytest.mark.parametrize("tail,line", [
+        (["--q", "\u0663"], "argument --q: invalid int value: '\u0663'"),
+        (["--n-max", "1_0"], "argument --n-max: invalid int value: '1_0'"),
+        (["--guard", "10_000"], "argument --guard: invalid int value: '10_000'"),
+        (["--n-max=1_0"], "argument --n-max: invalid int value: '1_0'"),
+    ])
+    def test_int_options_refuse_other_scripts_and_underscores(self, tmp_path, capsys,
+                                                               tail, line):
+        # int() alone reads the first as 3 and the others as 10 and 10000
+        out = tmp_path / "r.csv"
+        code, stdout, stderr = self.exits(main, ["count", *tail, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[-1] == f"fqlattice count: error: {line}"
+        assert not out.exists()
 
     def test_defaults_do_not_leak_between_subcommands(self):
         parser = build_parser()

@@ -9,6 +9,9 @@ from fqlattice.field import (
     is_irreducible, factor, poly_from_text, pretty_poly,
     _prime_power_split,
 )
+from fqlattice.haar import Mat2
+from fqlattice.lattice import lattice_is_sharp
+from fqlattice.laurent import LatticeVec, rat
 
 # explicit moduli over GF(2), GF(3) and GF(5), besides the built-in ones
 EXPLICIT_MODULI = [
@@ -169,13 +172,29 @@ class TestDegreeSentinels:
         assert NEG_INF < POS_INF
         assert not (NEG_INF < NEG_INF)
         assert max(NEG_INF, 3) == 3
-        assert -NEG_INF is POS_INF
 
     def test_no_silent_arithmetic(self):
         with pytest.raises(TypeError):
             NEG_INF + 1
         with pytest.raises(TypeError):
             2 * POS_INF
+        with pytest.raises(TypeError):
+            -NEG_INF
+
+    F3 = get_field(3)
+
+    # zero entries and constants whose answer the sentinels' ordering now
+    # decides, and which no other test passes
+    @pytest.mark.parametrize("fn,arg,expected", [
+        (lattice_is_sharp, LatticeVec(F3.zero, F3.Y), False),
+        (lattice_is_sharp, LatticeVec(F3.Y, F3.zero), True),
+        (Mat2.is_integral, Mat2(rat(F3.one), rat(F3.one, F3.Y), rat(F3.zero), rat(F3.one)), True),
+        (Mat2.is_integral, Mat2(rat(F3.Y), rat(F3.zero), rat(F3.zero), rat(F3.one, F3.Y)), False),
+        (is_irreducible, F3.zero, False),
+        (is_irreducible, F3.const(2), False),
+    ])
+    def test_zero_cases(self, fn, arg, expected):
+        assert fn(arg) is expected
 
 
 class TestPolyArithmetic:
@@ -335,7 +354,7 @@ class TestFactor:
 class TestIdeal:
     def test_norms(self):
         F = Fq(2)
-        assert Ideal.unit(F).norm == 1
+        assert Ideal(F.one).norm == 1
         assert Ideal(F.Y).norm == 2
         assert Ideal(F.poly((1, 1, 1))).norm == 4
         F3 = Fq(3)
@@ -346,7 +365,7 @@ class TestIdeal:
         F = Fq(2)
         I = Ideal(F.poly((0, 1)) * F.poly((1, 1)))
         assert I.primes() == (F.Y, F.poly((1, 1)))
-        assert Ideal.unit(F).primes() == ()
+        assert Ideal(F.one).primes() == ()
         # repeated prime listed once
         assert Ideal(F.poly((0, 0, 1))).primes() == (F.Y,)
 

@@ -8,7 +8,7 @@ from fqlattice.field import (Fq, Ideal, get_field, polys_of_degree, polys_up_to_
 from fqlattice.haar import (
     BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor, counting_main_term,
     covolume, expected_box_count, hecke_index, hecke_index_bruteforce,
-    kernel_ball_measure, kernel_elements, nonsharp_hemisphere_mass, refined_lu,
+    kernel_elements, nonsharp_hemisphere_mass, refined_lu,
     sharp_hemisphere_mass, sl2_order_bruteforce, sl2_order_mod, sphere_mass,
     quotient_mass, zeta_minus1,
 )
@@ -34,7 +34,7 @@ class TestClosedForms:
             assert sharp_hemisphere_mass(q) + nonsharp_hemisphere_mass(q) == sphere_mass(q)
 
     def test_hecke_indices(self):
-        assert hecke_index(Ideal.unit(F2)) == 1
+        assert hecke_index(Ideal(F2.one)) == 1
         assert hecke_index(Ideal(F2.Y)) == 3
         assert hecke_index(Ideal(F2.poly((0, 0, 1)))) == 6
         assert hecke_index(Ideal(F2.Y * F2.poly((1, 1)))) == 9
@@ -52,13 +52,13 @@ class TestClosedForms:
                 assert isinstance(idx, int) and idx >= 1
 
     def test_c_constant_and_main_term(self):
-        assert c_constant(Ideal.unit(F2)) == Fraction(1, 4)
-        assert c_constant(Ideal.unit(F3)) == Fraction(1, 18)
-        assert c_constant(Ideal.unit(F4)) == Fraction(1, 48)
-        assert counting_main_term(Ideal.unit(F2), 0) == Fraction(3, 2)
-        assert counting_main_term(Ideal.unit(F2), 1) == 6
-        assert counting_main_term(Ideal.unit(F2), 7) == Fraction(3, 2) * 4 ** 7
-        assert counting_main_term(Ideal.unit(F3), 1) == 48
+        assert c_constant(Ideal(F2.one)) == Fraction(1, 4)
+        assert c_constant(Ideal(F3.one)) == Fraction(1, 18)
+        assert c_constant(Ideal(F4.one)) == Fraction(1, 48)
+        assert counting_main_term(Ideal(F2.one), 0) == Fraction(3, 2)
+        assert counting_main_term(Ideal(F2.one), 1) == 6
+        assert counting_main_term(Ideal(F2.one), 7) == Fraction(3, 2) * 4 ** 7
+        assert counting_main_term(Ideal(F3.one), 1) == 48
         assert counting_main_term(Ideal(F2.Y), 1) == 2
 
     def test_main_term_closed_form(self):
@@ -88,7 +88,7 @@ class TestClosedForms:
                     assert cells * box_measure(q, cell) == box_measure(q, full)
 
     def test_expected_box_count_consistency(self):
-        for I in (Ideal.unit(F2), Ideal(F2.Y), Ideal(F3.poly((1, 1)))):
+        for I in (Ideal(F2.one), Ideal(F2.Y), Ideal(F3.poly((1, 1)))):
             q = I.field.q
             spec = BoxSpec(3, Fraction(1, q * q), Fraction(1, q * q))
             direct = Fraction(q ** 6) * spec.theta_mass * spec.dprime_mass / c_constant(I)
@@ -96,7 +96,7 @@ class TestClosedForms:
 
     def test_marginal_consistency_with_main_term(self):
         # summing expected box counts over a full partition gives the main term
-        q, I, n = 2, Ideal.unit(F2), 3
+        q, I, n = 2, Ideal(F2.one), 3
         m, mp = 1, 2
         cells = q ** (2 * m - 2) * (q * q - 1) * q ** (mp - 1)
         cell = BoxSpec(n, Fraction(1, q ** (2 * m)), Fraction(1, q ** mp))
@@ -104,13 +104,13 @@ class TestClosedForms:
         assert total == counting_main_term(I, n)
 
     def test_cfe_prefactor_values(self):
-        assert cfe_prefactor(Ideal.unit(F2)) == 2
+        assert cfe_prefactor(Ideal(F2.one)) == 2
         assert cfe_prefactor(Ideal(F2.Y)) == 6
-        assert cfe_prefactor(Ideal.unit(F3)) == Fraction(3, 4)
+        assert cfe_prefactor(Ideal(F3.one)) == Fraction(3, 4)
 
     def test_cfe_prefactor_matches_blunt_box_count(self):
         # q^{2n} / prefactor is the expected total over the blunt hemisphere
-        for I in (Ideal.unit(F2), Ideal(F2.Y), Ideal.unit(F3), Ideal(F3.Y)):
+        for I in (Ideal(F2.one), Ideal(F2.Y), Ideal(F3.one), Ideal(F3.Y)):
             q = I.field.q
             for n in (1, 2, 5):
                 spec = BoxSpec(n, nonsharp_hemisphere_mass(q), quotient_mass(q))
@@ -149,7 +149,7 @@ class TestOracles:
             assert hecke_index(I) == hecke_index_bruteforce(I)
 
     def test_hecke_oracle_unit_ideal(self):
-        assert hecke_index_bruteforce(Ideal.unit(F2)) == 1
+        assert hecke_index_bruteforce(Ideal(F2.one)) == 1
 
     def test_hecke_oracle_range_guard(self):
         with pytest.raises(ValueError):
@@ -162,12 +162,6 @@ class TestOracles:
         assert sl2_order_bruteforce(F2, 1) == 6
         assert sl2_order_bruteforce(F2, 2) == 48
         assert sl2_order_bruteforce(F3, 1) == 24
-
-    def test_kernel_ball_measure_is_inverse_order(self):
-        for q in (2, 3, 4):
-            for N in (1, 2, 3, 4):
-                assert kernel_ball_measure(q, N) == Fraction(1, sl2_order_mod(q, N))
-
 
 def random_sl2(field, rng, steps=4, maxdeg=2):
     polys = list(polys_up_to_degree(field, maxdeg))

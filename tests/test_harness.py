@@ -413,6 +413,13 @@ class TestVerify:
         bad = {r["name"] for r in _named(rep) if not r["match"]}
         assert bad == {"sl2_order[N=1]", "sl2_order[N=2]"}
 
+    @pytest.mark.parametrize("cfg", [dict(q=2, ideal="Y^8+Y^4+Y^3+Y+1"),
+                                     dict(q=16, modulus=(1, 1, 0, 0, 1), n_max=1)])
+    def test_oracle_limit_admits_256_residues(self, cfg):
+        # validated only: the N(I) = 256 run did not finish in 300 s
+        field, I = _valid(RunConfig(experiment="verify", **cfg))
+        assert max(field.q ** 2, I.norm) == 256
+
     def test_q3_verify(self):
         rep = run_verify(RunConfig(q=3, experiment="verify"))
         assert rep.summary["failed"] == 0

@@ -15,7 +15,8 @@ from fqlattice.lattice import (
     primitive_vectors, small_component, solution_statistic, sphere_cells,
     verify_bijection,
 )
-from fqlattice.laurent import LatticeVec, PlaneVec, as_plane, rat, vec_norm_exp
+from fqlattice.laurent import (LatticeVec, PlaneVec, as_plane, lattice_direction_digits, rat,
+                               vec_norm_exp)
 
 
 F2 = get_field(2)
@@ -80,7 +81,8 @@ class TestCells:
     def test_sphere_cell_membership_matches_plane_form(self):
         cells = sphere_cells(F2, 2)
         for v in primitive_vectors(F2, 2):
-            lat_hits = [c for c in cells if c.contains_lattice(v, 2)]
+            lat_hits = [c for c in cells if lattice_direction_digits(v, 2, c.depth)
+                        == (c.x_digits, c.y_digits)]
             pl_hits = [c for c in cells if c.contains_plane(as_plane(v))]
             assert lat_hits == pl_hits
             assert len(lat_hits) == 1
@@ -230,7 +232,7 @@ class TestStatistic:
     def test_z_ratio_choice_free_outside_exceptions(self):
         # translating the companion by multiples of v moves the z-ratio by a
         # polynomial, so the reduced statistic is choice-free
-        from fqlattice.laurent import reduce_mod_R, z_of
+        from fqlattice.laurent import z_of
         for field, n in ((F2, 1), (F2, 2), (F3, 1)):
             for v in primitive_vectors(field, n):
                 stat, exc = solution_statistic(v)
@@ -240,7 +242,7 @@ class TestStatistic:
                 for lam in polys_up_to_degree(field, 1):
                     shifted = LatticeVec(w.a + lam * v.a, w.b + lam * v.b)
                     zw = z_of(as_plane(shifted))
-                    assert reduce_mod_R(zw / zv) == stat
+                    assert (zw / zv).fractional_part() == stat
 
 
 class TestBox:
@@ -254,7 +256,8 @@ class TestBox:
         th, dp = self.theta(F2), self.dprime(F2)
         hits = 0
         for v in filter(lattice_is_sharp, primitive_vectors(F2, 2)):
-            if not (th.contains_lattice(v, 2) and dp.contains(rat(companion_of(v).a, v.a))):
+            if not (lattice_direction_digits(v, 2, 1) == (th.x_digits, th.y_digits)
+                    and dp.contains(rat(companion_of(v).a, v.a))):
                 continue
             assert box_cell(gamma_of(v), 2, 1, 2) == (th.x_digits, th.y_digits, dp.digits)
             hits += 1

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from fqlattice.field import Fq, NEG_INF, POS_INF, get_field, polys_up_to_degree
 from fqlattice.laurent import (
-    RationalFn, LatticeVec, PlaneVec, as_plane, direction, in_cell,
-    lattice_direction_digits, pi_pow, rat, reduce_mod_R,
+    LatticeVec, PlaneVec, as_plane, direction, in_cell,
+    lattice_direction_digits, pi_pow, rat,
     vec_norm_exp, is_sharp, z_of,
 )
 
@@ -96,7 +96,7 @@ class TestRationalFn:
         assert g.fractional_part() == R(F2, (1,), (0, 1))
         # the split is exact and the fractional part sits inside the unit ball
         for f in (g, R(F3, (1, 2, 1), (2, 1)), R(F3, (2,), (1, 1, 1))):
-            whole = RationalFn.from_poly(f.integral_part())
+            whole = rat(f.integral_part())
             assert whole + f.fractional_part() == f
             fr = f.fractional_part()
             assert fr.is_zero() or fr.valuation() >= 1
@@ -104,9 +104,9 @@ class TestRationalFn:
     def test_reduce_mod_R_fibers(self):
         f = R(F3, (1, 2), (0, 0, 1))
         for p in polys_up_to_degree(F3, 2):
-            g = f + RationalFn.from_poly(p)
-            assert reduce_mod_R(g) == reduce_mod_R(f)
-        assert reduce_mod_R(reduce_mod_R(f)) == reduce_mod_R(f)
+            g = f + rat(p)
+            assert g.fractional_part() == f.fractional_part()
+        assert f.fractional_part().fractional_part() == f.fractional_part()
 
 
 class TestExpansion:

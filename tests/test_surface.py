@@ -39,12 +39,10 @@ TEST_ONLY = {
     "cfrac.penultimate_ratio": ("defines the cfe statistic that the DP's cfe keys are "
                                 "checked against; the perfbench tracer patches it"),
     "cfrac.is_convergent": "characterizes the convergents by approximation quality",
-    "field.Ideal.unit": "the public constructor of the unit ideal; tests build fixtures with it",
     "field.poly_from_text": ("the public reader of polynomial text; validate_config reads "
                              "the --ideal terms once and builds them with poly_from_terms"),
     "haar.sharp_hemisphere_mass": "the two hemisphere masses must sum to sphere_mass",
     "haar.nonsharp_hemisphere_mass": "the two hemisphere masses must sum to sphere_mass",
-    "haar.kernel_ball_measure": "the inverse of sl2_order_mod, closed form against census",
     "haar.Mat2.is_integral": "checks the factors that refined_lu returns",
     "harness._tree_block": "the node-by-node oracle of the transfer DP",
     "lattice.SphereCell.measure": "the sphere cells must add up to sphere_mass",
@@ -52,8 +50,6 @@ TEST_ONLY = {
     "lattice.SphereCell.contains_plane": ("membership by the expansion digits of v itself, "
                                           "shifted by its norm exponent instead of rescaled, "
                                           "against cell digits and against box_cell"),
-    "lattice.SphereCell.contains_lattice": ("membership by polynomial coefficients, against "
-                                            "contains_plane and the box of gamma_of"),
     "laurent.direction": "the rescaled direction digits, against the cell digits",
 }
 

@@ -49,7 +49,7 @@ class TestValidation:
         ideal = Ideal(poly_from_text(F3, "2Y+1"))
         assert ideal.gen == poly_from_text(F3, "Y+2") and ideal.gen.is_monic()
         assert ideal == Ideal(gen=poly_from_text(F3, "Y+2"))
-        assert Ideal.unit(F3).gen == F3.one
+        assert Ideal(F3.one).gen == F3.one
 
     @pytest.mark.parametrize("x,y", [((), ()), ((1,), (0, 1)), ((1, 0), (1,))])
     def test_sphere_cell_needs_digits_of_one_positive_length(self, x, y):
