@@ -6,8 +6,8 @@ prime fields are just residues mod p; the tables of GF(p^d) come from Poly
 arithmetic over GF(p) modulo the field's monic irreducible modulus.  An Fq
 instance owns flat add/mul/neg/inv tables, which keeps element operations at
 dictionary-free list-index speed for the desk-scale fields this library
-targets (q <= 9 built in, any small prime power accepted with an explicit
-modulus).
+targets (q <= 9 built in, any other prime power up to Q_LIMIT = 1024
+accepted, with an explicit modulus unless it is prime).
 
 Polynomials are immutable coefficient tuples (low to high, trimmed).  The
 degree of the zero polynomial is the NEG_INF singleton: it orders below every
@@ -70,6 +70,9 @@ _BUILTIN_MODULI = {
     9: (1, 0, 1),      # T^2 + 1 over GF(3)
 }
 _FIELDS: Dict[Tuple[int, Optional[Tuple[int, ...]]], Fq] = {}  # get_field's, one per field
+# the largest q whose q x q tables Fq builds; on a 2-vCPU VM GF(1021) takes
+# 0.3 s and 78 MB, GF(2^10), built through Poly arithmetic, 18 s and 79 MB
+Q_LIMIT = 1024
 
 
 class Fq:
@@ -79,6 +82,8 @@ class Fq:
                  "zero", "one", "Y")
 
     def __init__(self, q: int, modulus: Optional[Sequence[int]] = None):
+        if q > Q_LIMIT:
+            raise ValueError(f"q={q} is above {Q_LIMIT}, the largest field this library builds")
         p, d = _prime_power_split(q)
         self.p = p
         self.d = d
@@ -140,17 +145,6 @@ class Fq:
 
     def add(self, a: int, b: int) -> int:
         return self.add_t[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_t[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_t[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return self.inv_t[a]
 
     def element_text(self, a: int) -> str:
         """Base-p digit string of the code, most significant digit first."""

@@ -114,8 +114,9 @@ def sl2_order_mod(q: int, N: int) -> int:
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-# the most residues hecke_index_bruteforce's orbit scan takes
-ORACLE_RESIDUE_LIMIT = 256
+# the most residues hecke_index_bruteforce's orbit scan takes, and the most
+# matrices q^(4N) sl2_order_bruteforce's census takes
+ORACLE_RESIDUE_LIMIT, SL2_ORACLE_LIMIT = 256, 2 * 10 ** 6
 
 
 def hecke_index_bruteforce(I: Ideal) -> int:
@@ -166,8 +167,8 @@ def _truncated_mul(x: Tuple[int, ...], y: Tuple[int, ...], field: Fq) -> Tuple[i
 def sl2_order_bruteforce(field: Fq, N: int) -> int:
     """Census of determinant-one matrices over the N-truncated ball ring."""
     q = field.q
-    if q ** (4 * N) > 2 * 10 ** 6:
-        raise ValueError("oracle range exceeded")
+    if q ** (4 * N) > SL2_ORACLE_LIMIT:
+        raise ValueError(f"oracle restricted to q^(4N) <= {SL2_ORACLE_LIMIT}")
     elems = [tuple((code // q ** i) % q for i in range(N)) for code in range(q ** N)]
     one = tuple([1] + [0] * (N - 1))
     neg = field.neg_t

@@ -27,10 +27,11 @@ deg a + deg Q_k - deg Q_{k-1} < w.  A state at D = deg Q_k holds those
 windows of Q_k and Q_{k-1} (and m digits of P_k and P_{k-1} for joint), each
 read from its own Q degree down with zeros below Y^0, the gap
 deg Q_k - deg Q_{k-1}, the sign (-1)^(k+1) (count, whose keys read no sign,
-keeps it fixed) and the residues of P_k, Q_k, P_{k-1} and Q_{k-1} mod the
+keeps it fixed) and the residues v_k = (P_k, Q_k) and v_{k-1} mod the
 ideal's generator up to a common scalar (the unit ideal (1) has the one
-residue 0); when every quotient degree meets all residues alike (deg gen = 1
-and w <= 1), only the point (P_k : Q_k) of P^1.  Each node key is a function
+residue 0).  At w <= 1 every quotient class is closed under a -> a + c, so
+v_{k-1} counts only modulo F_q v_k, and where a -> a/mu keeps every class too
+(w = 0, or deg gen <= 1) only up to a scalar.  Each node key is a function
 of the state.  w is max(m, mp - 1) for joint, max(1, mp - 1) for cfe
 (lead(Q_k) is in its key) and 0 for count.  The gap is capped at w + 1, not
 w: a gap of exactly mp - 1 = w still puts a nonzero digit at depth mp - 1,
@@ -72,10 +73,10 @@ from .cfrac import (brute_force_shortest, cf_expand, cf_value, check_approx,
 from .field import (Fq, Ideal, Poly, _text_terms, get_field, is_coprime,
                     echo_text, poly_from_terms, polys_of_degree,
                     polys_up_to_degree)
-from .haar import (ORACLE_RESIDUE_LIMIT, Mat2, cfe_prefactor, counting_main_term,
-                   c_constant, expected_box_count, hecke_index, hecke_index_bruteforce,
-                   kernel_elements, quotient_mass, refined_lu, sl2_order_mod,
-                   sl2_order_bruteforce, sphere_mass, BoxSpec)
+from .haar import (ORACLE_RESIDUE_LIMIT, SL2_ORACLE_LIMIT, Mat2, cfe_prefactor,
+                   counting_main_term, c_constant, expected_box_count, hecke_index,
+                   hecke_index_bruteforce, kernel_elements, quotient_mass, refined_lu,
+                   sl2_order_mod, sl2_order_bruteforce, sphere_mass, BoxSpec)
 from .lattice import (companion_of, count_membership_flips, domain_cells,
                       euclid_tree, matrix_side_enumerate, primitive_vectors,
                       solution_statistic, sphere_cells, verify_bijection)
@@ -350,41 +351,43 @@ class _Memo(dict):
         return value
 
 
-def _residue_arithmetic(gen: Poly, uniform: bool):
+def _residue_arithmetic(gen: Poly, w: int):
     """The residues mod gen as ints, the unit ideal having the one residue 0:
-    their index in `residues`, found by `code` of their coefficients.
-    Returns those two, affine(rho, x, y) = rho*x + y mod gen, and
-    canonical[(P_k, Q_k, P_{k-1}, Q_{k-1})]: a DP state's residues in the
-    form its keys and successors read.  That form divides them by the lead
-    of the first nonzero of (P_k, Q_k), since no key sees a common scalar
-    and the recurrence commutes with one; mod (1) it is (0, 0, 0, 0).  When
-    every quotient degree meets all residues alike (`uniform`, so deg gen
-    <= 1), rho*v_k + c runs over P^1 minus [v_k] for any c off the line of
-    v_k, so (P_{k-1}, Q_{k-1}) becomes the complement (0, 1), or (1, 0) when
-    P_k = 0.  Both read tables: the rows of rho*x and of u + y, built on
-    first use, and a scaling row per lambda in F_q^*, built once, with the
-    identity row at lead 0 for the residue 0."""
+    their index in `residues`, found by `code` of their coefficients, each
+    constant c being its own index.  Returns those two, affine(rho, x, y) =
+    rho*x + y mod gen, and canonical[(P_k, Q_k, P_{k-1}, Q_{k-1})]: a DP
+    state's residues at window width w in the one form its keys and
+    successors read.  The form divides all four by the lead of the first
+    nonzero of v_k = (P_k, Q_k): no key sees a common scalar, and the
+    recurrence commutes with one.  At w <= 1 the shear then subtracts from
+    v_{k-1} the multiple of v_k that clears its pivot coordinate's digit at
+    that coordinate's degree in v_k, and at w = 0 or deg gen <= 1 divides
+    v_{k-1} by the lead of its first nonzero (module docstring).  Mod (1)
+    the form is (0, 0, 0, 0).  It reads the rows of rho*x and of u + y,
+    built on first use."""
     field = gen.field
     residues = list(polys_up_to_degree(field, gen.degree - 1))
     code = {p.coeffs: i for i, p in enumerate(residues)}
-    one = code[(field.one % gen).coeffs]
     times = _Memo(lambda rho: [code[(residues[rho] * x % gen).coeffs] for x in residues])
     plus = _Memo(lambda u: [code[(residues[u] + y).coeffs] for y in residues])
 
     def affine(rho, x, y):
         return plus[times[rho][x]][y]
 
-    scaled = [list(range(len(residues)))] + [
-        [code[x.scale(lam).coeffs] for x in residues] for lam in range(1, field.q)]
-    lead = [x.coeffs[-1] if x.coeffs else 0 for x in residues]
+    lead, inv, neg = [x.coeff(x.degree) for x in residues], field.inv_t, field.neg_t
 
     @_Memo
     def canonical(res):
-        P, Q = res[:2]
-        row = scaled[field.inv_t[lead[P or Q]]]
-        if uniform:
-            return (row[P], row[Q]) + ((0, one) if P else (one, 0))
-        return tuple(row[x] for x in res)
+        row = times[inv[lead[res[0] or res[1]]]]
+        P, Q, P_prev, Q_prev = [row[x] for x in res]
+        if w <= 1:
+            x, y = (P, P_prev) if P else (Q, Q_prev)  # the pivot coordinate
+            c = neg[residues[y].coeff(residues[x].degree)]
+            P_prev, Q_prev = affine(c, P, P_prev), affine(c, Q, Q_prev)
+            if w == 0 or gen.degree <= 1:
+                row = times[inv[lead[P_prev or Q_prev]]]
+                P_prev, Q_prev = row[P_prev], row[Q_prev]
+        return P, Q, P_prev, Q_prev
 
     return residues, code, affine, canonical
 
@@ -449,8 +452,7 @@ def _compile_transfer(gen: Poly, kind: str, m: int, mp: int, n_max: int) -> Tran
     def free(d: int) -> int:  # digits of a degree-d quotient below its window
         return d + 1 - top
 
-    uniform = free(1) >= g  # then every degree's classes meet all residues
-    residues, code, affine, canonical = _residue_arithmetic(gen, uniform)
+    residues, code, affine, canonical = _residue_arithmetic(gen, w)
 
     def classes(d: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
         """The quotients of degree d by their top w digits A: (A, [(a mod
@@ -856,7 +858,7 @@ def run_verify(cfg: RunConfig) -> Report:
             hecke_index(J), hecke_index_bruteforce(J))
 
     for N in (1, 2):
-        if field.q ** (4 * N) > 2_000_000:
+        if field.q ** (4 * N) > SL2_ORACLE_LIMIT:
             continue
         add(f"sl2_order[N={N}]", "q^(3N-2)*(q^2-1)",
             sl2_order_mod(field.q, N), sl2_order_bruteforce(field, N))

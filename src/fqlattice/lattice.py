@@ -77,10 +77,6 @@ class SphereCell(_SphereCellFields):
     def depth(self) -> int:
         return len(self.x_digits)
 
-    @property
-    def sharp(self) -> bool:
-        return self.x_digits[0] != 0
-
     def measure(self) -> Fraction:
         return Fraction(1, self.field.q ** (2 * self.depth))
 

@@ -241,7 +241,7 @@ def _blunt_histograms(joint_report, field):
 def _negate_cell(field, cell_id):
     if cell_id == "-":
         return cell_id
-    return ".".join(str(field.neg(int(d))) for d in cell_id.split("."))
+    return ".".join(str(field.neg_t[int(d)]) for d in cell_id.split("."))
 
 
 def test_criterion_7_continued_fraction_statistic_crosscheck():

@@ -180,6 +180,19 @@ class TestExitCodes:
         code, out, err = run(["cfe", "--dump", *tail], capsys)
         assert (code, out, err) == (2, "", f"configuration error: {refusal}\n")
 
+    @pytest.mark.parametrize("tail", [["--q", "9973"],
+                                      ["--q", "1000000000039", "--guard", str(10 ** 30)]])
+    def test_field_size_refused_before_any_table(self, capsys, monkeypatch, tail):
+        # q^2 passes the guard's exponent check, but no q x q table is built
+        def no_work(*args):
+            raise AssertionError("the field build started")
+        monkeypatch.setattr("fqlattice.field._prime_power_split", no_work)
+        monkeypatch.setattr(Fq, "_build_tables", no_work)
+        code, out, err = run(["count", *tail, "--n-min", "0", "--n-max", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"configuration error: q={tail[1]} is above 1024, the largest "
+                       "field this library builds\n")
+
     @pytest.mark.parametrize("argv,size", [
         (["--q", "17", "--n-min", "1", "--n-max", "1"], "q^2 = 289"),
         (["--q", "3", "--ideal", "Y^6+Y+2"], "N(I) = 729"),

@@ -309,7 +309,7 @@ def test_tree_nodes_carry_inverse_and_companion(case):
         assert s * w.b - w.a * r == field.one
         assert w == companion_of(LatticeVec(s, r))
         # penultimate convergent ratio (-1)^k Q_{k-1}/Q_k from inv and lead(Q_k)
-        scale = field.neg(field.inv(field.mul(lead, lead)))
+        scale = field.neg_t[field.inv_t[field.mul_t[lead][lead]]]
         assert penultimate_ratio(rat(r, s)) == rat(inv.scale(scale), s)
         assert (r.coeffs, s.coeffs) not in seen
         seen.add((r.coeffs, s.coeffs))
@@ -341,16 +341,18 @@ DP_GRID = [
     (7, 2, ("1", "Y", "Y+1", "Y^2+1"), ((2, 3),)),
     (8, 2, ("Y+1", "Y^2+Y+1"), ((1, 2),)),
     (9, 2, ("1", "Y^2+1"), ((2, 3),)),
-    # a degree-1 generator at w <= 1: every quotient degree meets all
-    # residues alike, so a state keeps only the point (P_k : Q_k) of P^1
+    # a degree-1 generator at w <= 1: the shear and the scalar leave a state
+    # only the point (P_k : Q_k) of P^1
     (4, 4, ("Y+[10]",), ((1, 1), (1, 2))),
     (7, 2, ("Y+3",), ((1, 1), (1, 2))),
     (8, 2, ("Y+[11]",), ((1, 1), (1, 2))),
     (9, 2, ("Y+[12]",), ((1, 1), (1, 2))),
-    # residues up to a common scalar only: a reducible generator, and a
-    # degree-1 one at w = 2
+    # a reducible generator, sheared at w <= 1 and scaled in common only
+    # at w = 2, and a degree-1 one at w = 2
     (2, 6, ("Y^2+Y",), ((1, 1), (1, 3), (2, 3))),
     (3, 4, ("Y^2", "Y+2"), ((1, 2), (1, 3), (2, 3))),
+    # the shear on 27 residues, scaled at w = 0 only
+    (3, 4, ("Y^3+2*Y+1",), ((1, 1), (1, 2))),
 ]
 
 
@@ -391,7 +393,7 @@ GF2_IDEALS = ("1", "Y", "Y+1", "Y^2+Y+1", "Y^3+Y+1")
 
 
 @pytest.mark.parametrize("kind", ["count", "joint", "cfe"])
-def test_gf2_block_tallies_match_generic(kind):
+def test_gf2_dp_tallies_match_walk(kind):
     # GF(2) at every ideal up to degree 3; m = 3 at level 1 reads digits of
     # s and r below Y^0
     field = get_field(2)
@@ -414,7 +416,7 @@ CARRY_GRID = [
     ("joint", 2, "Y^2+Y+1", 6, 3, 4),    # w = 3, d0 = 4
     ("cfe", 3, "Y", 5, 1, 3),            # w = 2, d0 = 3
     ("count", 3, "Y^2+1", 4, 1, 2),      # w = 0, d0 = 2
-    # the P^1 state: a degree-1 generator at w <= 1
+    # the point of P^1: a degree-1 generator at w <= 1
     ("count", 7, "Y+3", 3, 1, 2),        # w = 0, d0 = 1
     ("count", 4, "Y+[10]", 3, 1, 1),     # w = 0, d0 = 1
     ("cfe", 3, "Y+2", 4, 1, 2),          # w = 1, d0 = 2
@@ -459,40 +461,57 @@ def _generator(field):
         powers, y = {1}, x
         while y != 1:
             powers.add(y)
-            y = field.mul(y, x)
+            y = field.mul_t[y][x]
         if len(powers) == field.q - 1:
             return x
 
 
-# q -> a degree-1 and a degree-2 generator; Y^2+Y and Y^2 are reducible
-CANONICAL_GENS = {2: ("Y+1", "Y^2+Y"), 3: ("Y+2", "Y^2"), 4: ("Y+[10]", "Y^2+Y+[10]"),
-                  5: ("Y+2", "Y^2+Y")}
+# q -> a degree-1 and a degree-2 generator; Y^2+Y and Y^2 are reducible.
+# q = 2 adds one of degree 3
+CANONICAL_GENS = {2: ("Y+1", "Y^2+Y", "Y^3+Y+1"), 3: ("Y+2", "Y^2"),
+                  4: ("Y+[10]", "Y^2+Y+[10]"), 5: ("Y+2", "Y^2+Y")}
 
 
 @pytest.mark.parametrize("q", sorted(CANONICAL_GENS))
 def test_canonical_residues_keep_one_state_per_class(q):
-    # the canonical form is idempotent and blind to a common scalar; it
-    # keeps one quadruple per scalar orbit, or, on the uniform side, which
-    # needs deg gen = 1, one per point (P_k : Q_k) of P^1
+    # the canonical form at window width w is idempotent and blind to a
+    # common scalar; at w <= 1 also to the shear (P', Q') + c (P, Q), and
+    # then, at w = 0 or deg gen = 1, to (P', Q') -> mu (P', Q'); it keeps one
+    # quadruple per orbit of those maps.  Each map is checked on generators
+    # of its group: lam for F_q^*, and for F_q the codes p^i, a basis over F_p
     field = get_field(q)
     lam = _generator(field)
+    basis = [field.p ** i for i in range(field.d)]
     for text in CANONICAL_GENS[q]:
         gen = poly_from_text(field, text)
-        quads = _unimodular_quadruples(field, gen)
-        scaled = {x.coeffs: x.scale(lam).coeffs
-                  for x in polys_up_to_degree(field, gen.degree - 1)}
-        for uniform in (False, True) if gen.degree == 1 else (False,):
-            residues, code, _, canonical = _residue_arithmetic(gen, uniform)
-            # quadruple -> its form, as coefficient tuples; every form is
-            # itself a unimodular quadruple, so the table can look it up
-            table = {tuple(x.coeffs for x in res):
-                     tuple(residues[c].coeffs for c in canonical[tuple(code[x.coeffs] for x in res)])
-                     for res in quads}
+        residues = list(polys_up_to_degree(field, gen.degree - 1))
+        code = {x.coeffs: i for i, x in enumerate(residues)}
+        # the quadruples and the maps on residue indices, read from Poly arithmetic
+        quads = [tuple(code[x.coeffs] for x in res) for res in _unimodular_quadruples(field, gen)]
+        scale = [code[x.scale(lam).coeffs] for x in residues]
+        shear = {c: {(x, y): code[(residues[y] + residues[x].scale(c)).coeffs]
+                     for x in range(len(residues)) for y in range(len(residues))}
+                 for c in basis}
+        # the form divides by a constant through the times row of its index
+        assert all(code[(c,)] == c for c in range(1, q))
+        for w in (0, 1, 2):
+            _, lib_code, _, canonical = _residue_arithmetic(gen, w)
+            assert lib_code == code
+            moves = [lambda res: tuple(scale[x] for x in res)]
+            if w <= 1:
+                moves += [lambda res, t=shear[c]: res[:2] + (t[res[0], res[2]], t[res[1], res[3]])
+                          for c in basis]
+                if w == 0 or gen.degree == 1:
+                    moves.append(lambda res: res[:2] + (scale[res[2]], scale[res[3]]))
+            table = {res: canonical[res] for res in quads}
             for res, canon in table.items():
-                assert table[tuple(map(scaled.get, res))] == canon, (text, res)
+                assert all(table[move(res)] == canon for move in moves), (text, w, res)
             image = set(table.values())
-            assert all(table[canon] == canon for canon in image), text
-            assert len(image) == (q + 1 if uniform else len(quads) // (q - 1)), text
+            # every form is itself a unimodular quadruple, so the table holds it
+            assert all(table[canon] == canon for canon in image), (text, w)
+            shears, rescales = w <= 1, w == 0 or (w <= 1 and gen.degree == 1)
+            orbit = (q - 1) * q ** shears * (q - 1) ** rescales
+            assert len(image) * orbit == len(quads), (text, w)
 
 
 @pytest.mark.parametrize("q", sorted(CANONICAL_GENS))
@@ -502,7 +521,7 @@ def test_residue_affine_matches_poly_arithmetic(q):
     field = get_field(q)
     for text in CANONICAL_GENS[q]:
         gen = poly_from_text(field, text)
-        residues, _, affine, _ = _residue_arithmetic(gen, False)
+        residues, _, affine, _ = _residue_arithmetic(gen, 2)
         for rho, r in enumerate(residues):
             for x, u in enumerate(residues):
                 for y, v in enumerate(residues):
@@ -532,8 +551,8 @@ def test_ideal_orbit_matches_its_definition(q):
 @pytest.mark.parametrize("q", (2, 3, 4))
 def test_unit_ideal_has_the_one_residue_zero(q):
     field = get_field(q)
-    for uniform in (False, True):
-        residues, code, affine, canonical = _residue_arithmetic(field.one, uniform)
+    for w in (0, 1, 2):
+        residues, code, affine, canonical = _residue_arithmetic(field.one, w)
         assert (residues, code) == ([field.zero], {(): 0})
         assert affine(0, 0, 0) == 0
         assert canonical[0, 0, 0, 0] == (0, 0, 0, 0)
@@ -558,6 +577,23 @@ def test_dp_compiles_each_step_once(q, gen, kind, m, mp):
     short, long = (_compile_transfer(g, kind, m, mp, n_max) for n_max in (20, 40))
     assert (short.keys, short.successors) == (long.keys, long.successors)
     assert len(short.keys) > 1 and all(short.successors)
+
+
+# (kind, q, generator, m, mp, highest level, compiled states): the shear at
+# w <= 1 and the scalar at w = 0 cut these from 7,776, 712, 5,443 and 1,009
+SHEAR_STATES = [
+    ("count", 5, "Y^2+2", 1, 2, 4, 781),
+    ("count", 3, "Y^2+1", 1, 2, 5, 121),
+    ("joint", 3, "Y^2+1", 1, 2, 5, 1917),
+    ("cfe", 2, "Y^3+Y+1", 1, 2, 7, 505),
+]
+
+
+@pytest.mark.parametrize("kind,q,gen,m,mp,n_max,states", SHEAR_STATES,
+                         ids=[f"{c[0]}-q{c[1]}-{c[2]}" for c in SHEAR_STATES])
+def test_shear_keeps_one_state_per_class(kind, q, gen, m, mp, n_max, states):
+    g = poly_from_text(get_field(q), gen)
+    assert len(_compile_transfer(g, kind, m, mp, n_max).keys) == states
 
 
 @pytest.mark.parametrize("q", QS)

@@ -7,7 +7,7 @@ from fqlattice.field import (
     Fq, Poly, Ideal, NEG_INF, POS_INF, get_field, poly_gcd, poly_xgcd,
     is_coprime, polys_of_degree, polys_up_to_degree, irreducibles_of_degree,
     is_irreducible, factor, poly_from_text, pretty_poly,
-    _prime_power_split,
+    _prime_power_split, Q_LIMIT,
 )
 from fqlattice.haar import Mat2
 from fqlattice.lattice import lattice_is_sharp
@@ -49,25 +49,25 @@ class TestFieldTables:
             for a in range(q):
                 for b in range(q):
                     assert F.add(a, b) == (a + b) % q
-                    assert F.mul(a, b) == (a * b) % q
-                assert F.neg(a) == (-a) % q
+                    assert F.mul_t[a][b] == (a * b) % q
+                assert F.neg_t[a] == (-a) % q
                 if a:
-                    assert F.mul(a, F.inv(a)) == 1
+                    assert F.mul_t[a][F.inv_t[a]] == 1
 
     def test_gf4_generator_relation(self):
         F = Fq(4)
         t = 2  # digits (0, 1): the class of T
         assert F.element_text(t) == "10"
-        assert F.mul(t, t) == 3  # t^2 = t + 1
+        assert F.mul_t[t][t] == 3  # t^2 = t + 1
         assert F.add(t, 1) == 3
 
     def test_gf8_gf9_generator_relations(self):
         F8 = Fq(8)
         t = 2
-        assert F8.mul(F8.mul(t, t), t) == 3  # t^3 = t + 1
+        assert F8.mul_t[F8.mul_t[t][t]][t] == 3  # t^3 = t + 1
         F9 = Fq(9)
         u = 3  # digits (0, 1)
-        assert F9.mul(u, u) == 2  # u^2 = -1
+        assert F9.mul_t[u][u] == 2  # u^2 = -1
 
     def test_extension_field_axioms(self):
         for q in (4, 8, 9):
@@ -83,16 +83,16 @@ class TestFieldTables:
                     # multiplicative order divides q - 1
                     acc = 1
                     for _ in range(q - 1):
-                        acc = F.mul(acc, a)
+                        acc = F.mul_t[acc][a]
                     assert acc == 1
             # frobenius is additive
             for a in range(q):
                 for b in range(q):
-                    fa = F.mul(a, a)
-                    fb = F.mul(b, b)
+                    fa = F.mul_t[a][a]
+                    fb = F.mul_t[b][b]
                     s = F.add(a, b)
                     if p == 2:
-                        assert F.mul(s, s) == F.add(fa, fb)
+                        assert F.mul_t[s][s] == F.add(fa, fb)
 
     @pytest.mark.parametrize("q,modulus", EXPLICIT_MODULI)
     def test_explicit_modulus_tables(self, q, modulus):
@@ -100,15 +100,15 @@ class TestFieldTables:
         t = F.p  # digits (0, 1): the class of T
         acc = 0  # the modulus at T, by Horner; GF(p) sits in the codes 0..p-1
         for m in reversed(modulus):
-            acc = F.add(F.mul(acc, t), m)
+            acc = F.add(F.mul_t[acc][t], m)
         assert acc == 0
-        assert all(F.add(a, F.neg(a)) == 0 for a in range(q))
+        assert all(F.add(a, F.neg_t[a]) == 0 for a in range(q))
         for a in range(1, q):
-            assert F.mul(a, F.inv(a)) == 1
+            assert F.mul_t[a][F.inv_t[a]] == 1
         for a in range(q):
             for b in range(q):
                 s, row_a, row_b = F.add(a, b), F.mul_t[a], F.mul_t[b]
-                assert all(F.mul(s, c) == F.add(row_a[c], row_b[c]) for c in range(q))
+                assert all(F.mul_t[s][c] == F.add(row_a[c], row_b[c]) for c in range(q))
 
     @pytest.mark.parametrize("modulus,bad,position", [
         ((3, 3, 1), 3, 0), ((1, 1, 2), 2, 2), ((-1, 1, 1), -1, 0),
@@ -147,6 +147,20 @@ class TestFieldTables:
     def test_prime_power_split(self):
         assert [_prime_power_split(q) for q in (97, 128, 243)] == [
             (97, 1), (2, 7), (3, 5)]
+
+    @pytest.mark.parametrize("q", [Q_LIMIT + 1, 9973, 1000000000039])
+    def test_field_size_refused_before_the_divisor_scan(self, q, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the field build started")
+        monkeypatch.setattr("fqlattice.field._prime_power_split", no_work)
+        with pytest.raises(ValueError) as info:
+            Fq(q)
+        assert str(info.value) == f"q={q} is above 1024, the largest field this library builds"
+
+    def test_field_size_limit_admits_q_limit(self):
+        # 2^10 passes the size check and stops at its missing modulus
+        with pytest.raises(ValueError, match="no built-in modulus for q=1024"):
+            Fq(Q_LIMIT)
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -507,4 +521,4 @@ def test_get_field_is_shared():
     assert get_field(3) is get_field(3, None)
     assert get_field(4) is get_field(4, (1, 1, 1))
     assert get_field(9, (2, 1, 1)) is not get_field(9)
-    assert get_field(4).mul(2, 2) == 3
+    assert get_field(4).mul_t[2][2] == 3

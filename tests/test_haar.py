@@ -6,7 +6,7 @@ import pytest
 from fqlattice.field import (Fq, Ideal, get_field, polys_of_degree, polys_up_to_degree,
                              poly_from_text)
 from fqlattice.haar import (
-    BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor, counting_main_term,
+    SL2_ORACLE_LIMIT, BoxSpec, Mat2, box_measure, c_constant, cfe_prefactor, counting_main_term,
     covolume, expected_box_count, hecke_index, hecke_index_bruteforce,
     kernel_elements, nonsharp_hemisphere_mass, refined_lu,
     sharp_hemisphere_mass, sl2_order_bruteforce, sl2_order_mod, sphere_mass,
@@ -162,6 +162,12 @@ class TestOracles:
         assert sl2_order_bruteforce(F2, 1) == 6
         assert sl2_order_bruteforce(F2, 2) == 48
         assert sl2_order_bruteforce(F3, 1) == 24
+
+    @pytest.mark.parametrize("q,N", [(7, 2), (5, 3), (2, 6)])
+    def test_sl2_oracle_range_guard(self, q, N):
+        assert q ** (4 * N) > SL2_ORACLE_LIMIT
+        with pytest.raises(ValueError, match=f"q\\^\\(4N\\) <= {SL2_ORACLE_LIMIT}"):
+            sl2_order_bruteforce(get_field(q), N)
 
 def random_sl2(field, rng, steps=4, maxdeg=2):
     polys = list(polys_up_to_degree(field, maxdeg))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fqlattice
-from fqlattice import harness
+from fqlattice import haar, harness
 from fqlattice.cli import main
 from fqlattice.field import Ideal, get_field, poly_from_text
 from fqlattice.haar import (BoxSpec, cfe_prefactor, counting_main_term,
@@ -369,7 +369,7 @@ class TestCfe:
         def negate(cid):
             if cid == "-":
                 return cid
-            return ".".join(str(field.neg(int(d))) for d in cid.split("."))
+            return ".".join(str(field.neg_t[int(d)]) for d in cid.split("."))
 
         mapped = {negate(r["solution_cell"]): r["empirical_count"]
                   for r in _named(cfe)}
@@ -412,6 +412,14 @@ class TestVerify:
         rep = run_verify(RunConfig(q=2, experiment="verify"))
         bad = {r["name"] for r in _named(rep) if not r["match"]}
         assert bad == {"sl2_order[N=1]", "sl2_order[N=2]"}
+
+    def test_sl2_rows_follow_the_oracle_limit(self, monkeypatch):
+        # verify lists sl2_order[N] for the N whose census the oracle takes,
+        # q^(4N) <= haar.SL2_ORACLE_LIMIT, read from the one constant
+        assert harness.SL2_ORACLE_LIMIT is haar.SL2_ORACLE_LIMIT
+        monkeypatch.setattr(harness, "SL2_ORACLE_LIMIT", 2 ** 4)
+        names = [r["name"] for r in _named(run_verify(RunConfig(q=2, experiment="verify")))]
+        assert [n for n in names if n.startswith("sl2_order")] == ["sl2_order[N=1]"]
 
     @pytest.mark.parametrize("cfg", [dict(q=2, ideal="Y^8+Y^4+Y^3+Y+1"),
                                      dict(q=16, modulus=(1, 1, 0, 0, 1), n_max=1)])

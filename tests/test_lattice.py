@@ -43,7 +43,7 @@ class TestCells:
 
     def test_hemisphere_split(self):
         cells = sphere_cells(F2, 1)
-        sharp = [c for c in cells if c.sharp]
+        sharp = [c for c in cells if c.x_digits[0] != 0]
         assert len(sharp) == 2
         assert sphere_cells(F2, 1, sharp=True) == sharp
         blunt = sphere_cells(F2, 1, sharp=False)

@@ -6,8 +6,11 @@ defined in `src/fqlattice/` must be referenced somewhere in `src/` or
 a name that is loaded, an attribute, or a string constant that is exactly
 the name or a dotted path ending in it (as in
 `monkeypatch.setattr(module, "name", ...)`); imports and docstrings do not
-count.  Attributes cannot be resolved statically, so a method counts as
-referenced when any attribute of its spelling is.
+count.  A method is only ever reached through an attribute, so for a method
+a loaded bare name (a local such as `mul = field.mul_t`) does not count.
+Attributes cannot be resolved statically, so a method counts as referenced
+when any attribute of its spelling is: `DomainCell.contains` hides behind
+`Ideal.contains` that way.
 
 A definition that only tests reference is an oracle or a fixture, and must be
 listed in TEST_ONLY with the reason it is kept; an entry that `src/` now uses
@@ -74,7 +77,7 @@ def _definitions():
 
 
 def _references():
-    """name -> [(file, line)] over src/ and tests/."""
+    """name -> [(file, line, whether it is a bare name)] over src/ and tests/."""
     refs = {}
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
         for node in ast.walk(_parse(path)):
@@ -87,7 +90,7 @@ def _references():
                 name = node.value.rsplit(".", 1)[-1]
             else:
                 continue
-            refs.setdefault(name, []).append((path, node.lineno))
+            refs.setdefault(name, []).append((path, node.lineno, isinstance(node, ast.Name)))
     return refs
 
 
@@ -95,8 +98,10 @@ def _outside_references():
     """(module.qualname, file, node, references outside the definition)."""
     refs = _references()
     for qualname, path, node in _definitions():
-        outside = [(p, line) for p, line in refs.get(node.name, ())
-                   if not (p == path and node.lineno <= line <= node.end_lineno)]
+        method = qualname.count(".") == 2
+        outside = [(p, line) for p, line, bare in refs.get(node.name, ())
+                   if not (method and bare)
+                   and not (p == path and node.lineno <= line <= node.end_lineno)]
         yield qualname, path, node, outside
 
 
